@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate examples dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke fuzz clean
+.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate examples dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke bench-smoke fuzz clean
 
-all: build lint test race race-campaign dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke
+all: build lint test race race-campaign dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -153,6 +153,13 @@ serve-smoke: build
 	rm -rf serve-out
 	SERVE_SOAK=1 $(GO) test -run 'TestServeSoakKillRestart' -count=1 -v ./internal/serve
 	SERVE_SMOKE_OUT=$(abspath serve-out) $(GO) test -run 'TestServeSmoke' -count=1 -v ./internal/serve
+
+# The repository benchmark (perfbench/, its own module over this one)
+# at tiny size: every workload runs, its digests agree across worker
+# counts and tracing, and its metrics match BENCHMARK.json. Fails when
+# an API change breaks the benchmark's build or its traced run.
+bench-smoke:
+	cd perfbench && GOPROXY=off $(GO) test ./...
 
 # Regenerate every table and figure of the paper at full scale.
 evaluate: build

@@ -177,6 +177,12 @@ type Cache struct {
 	clock uint64 // LRU timestamp source
 	ctr   Counters
 
+	// validBits has bit i set exactly when lines[i].valid: FlushAll
+	// walks it instead of scanning every line, which matters because
+	// the platform flushes at every partition start and a short run
+	// leaves only a small fraction of the lines valid.
+	validBits []uint64
+
 	// Strength-reduced geometry: addr>>lineShift == addr/LineSize and
 	// line&setMask == line%sets, because both are powers of two.
 	lineShift uint
@@ -280,6 +286,7 @@ func New(cfg Config, next mem.Backend) *Cache {
 	}
 	c.setMask = mem.Addr(c.sets - 1)
 	c.lines = make([]line, c.sets*cfg.Ways)
+	c.validBits = make([]uint64, (len(c.lines)+63)/64)
 	c.mru = make([]int32, c.sets)
 	c.wt = cfg.Write == WriteThroughNoAllocate
 	c.mruIdx = -1
@@ -413,9 +420,11 @@ func (c *Cache) fill(lineAddr mem.Addr, dirty bool) mem.Cycles {
 	}
 	lat += c.next.Read(lineAddr<<c.lineShift, c.cfg.LineSize)
 	set[w] = line{valid: true, dirty: dirty, tag: lineAddr}
+	i := idx*c.ways + w
+	c.validBits[i>>6] |= 1 << (i & 63)
 	c.mru[idx] = int32(w)
 	c.mruIdx2 = c.mruIdx
-	c.mruIdx = int32(idx*c.ways + w)
+	c.mruIdx = int32(i)
 	c.touch(set, w)
 	c.ctr.Fills++
 	return lat
@@ -605,21 +614,24 @@ func (c *Cache) writeBack(la mem.Addr, idx int, set []line, w int) mem.Cycles {
 // FlushAll writes back every dirty line and invalidates the whole cache,
 // returning the cost. PikeOS is configured to flush caches at partition
 // start (§IV), which is what guarantees a canonical initial state.
+// Only valid lines are visited, in index order (the order a full scan
+// would meet them), so the writeback sequence, latency and counters do
+// not depend on how the valid lines are found.
 func (c *Cache) FlushAll() mem.Cycles {
 	c.mruIdx, c.mruIdx2 = -1, -1 // defensive; validation makes stale hints harmless
 	var lat mem.Cycles
-	for i := range c.lines {
-		l := &c.lines[i]
-		if !l.valid {
-			continue
+	for wi, word := range c.validBits {
+		for ; word != 0; word &= word - 1 {
+			l := &c.lines[wi<<6+bits.TrailingZeros64(word)]
+			if l.dirty {
+				c.ctr.Writebacks++
+				lat += c.next.Write(l.tag*mem.Addr(c.cfg.LineSize), c.cfg.LineSize)
+			}
+			c.ctr.Invalidations++
+			l.valid = false
+			l.dirty = false
 		}
-		if l.dirty {
-			c.ctr.Writebacks++
-			lat += c.next.Write(l.tag*mem.Addr(c.cfg.LineSize), c.cfg.LineSize)
-		}
-		c.ctr.Invalidations++
-		l.valid = false
-		l.dirty = false
+		c.validBits[wi] = 0
 	}
 	return lat
 }
@@ -639,6 +651,8 @@ func (c *Cache) InvalidateRange(base mem.Addr, size int) mem.Cycles {
 		if w := c.lookup(set, la); w >= 0 {
 			set[w].valid = false
 			set[w].dirty = false
+			i := idx*c.ways + w
+			c.validBits[i>>6] &^= 1 << (i & 63)
 			c.ctr.Invalidations++
 		}
 		lat++ // one cycle per probed line, matching a software loop of ASI stores

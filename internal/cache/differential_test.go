@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -191,5 +192,152 @@ func TestDifferentialWritebackCount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+func proximaL2() Config {
+	return Config{
+		Name: "L2", Size: 32 * 1024, LineSize: 32, Ways: 1,
+		HitLatency: 6, Placement: PlacementModulo,
+		Replacement: ReplacementLRU, Write: WriteBackAllocate,
+	}
+}
+
+// recordingBackend logs every transaction reaching the next level and
+// charges an address-dependent latency, so both the order and the sum
+// of writebacks are observable.
+type recordingBackend struct{ log []access }
+
+type access struct {
+	write bool
+	addr  mem.Addr
+	size  int
+}
+
+func (r *recordingBackend) Read(a mem.Addr, n int) mem.Cycles {
+	r.log = append(r.log, access{false, a, n})
+	return 1 + mem.Cycles(a>>4)%7
+}
+
+func (r *recordingBackend) Write(a mem.Addr, n int) mem.Cycles {
+	r.log = append(r.log, access{true, a, n})
+	return 2 + mem.Cycles(a>>4)%5
+}
+
+// fullScanFlush is the reference flush: visit every line in index
+// order, write back the dirty ones and invalidate the valid ones.
+func fullScanFlush(c *Cache) mem.Cycles {
+	c.mruIdx, c.mruIdx2 = -1, -1
+	var lat mem.Cycles
+	for i := range c.lines {
+		l := &c.lines[i]
+		if !l.valid {
+			continue
+		}
+		if l.dirty {
+			c.ctr.Writebacks++
+			lat += c.next.Write(l.tag*mem.Addr(c.cfg.LineSize), c.cfg.LineSize)
+		}
+		c.ctr.Invalidations++
+		l.valid = false
+		l.dirty = false
+	}
+	return lat
+}
+
+// TestFlushAllDifferential drives two identical caches through random
+// mixes of reads, writes, range invalidations and writebacks,
+// snapshot/restore and flushes; one flushes through the valid-line
+// bitmap, the other through fullScanFlush. The next level must see the
+// same transactions in the same order, every operation must return the
+// same latency and leave the same counters and lines, and the bitmap
+// must mirror the valid bits after every operation.
+func TestFlushAllDifferential(t *testing.T) {
+	for _, geom := range []Config{proximaIL1(), proximaDL1(), proximaL2()} {
+		for _, rand := range []bool{false, true} {
+			cfg := geom
+			if rand {
+				cfg.Placement, cfg.Replacement = PlacementHashRandom, ReplacementRandom
+			}
+			t.Run(cfg.Name+"/"+cfg.Placement.String(), func(t *testing.T) {
+				for seed := uint64(1); seed <= 8; seed++ {
+					flushDifferential(t, cfg, seed, 3000)
+				}
+			})
+		}
+	}
+}
+
+func flushDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
+	t.Helper()
+	gotNext, refNext := &recordingBackend{}, &recordingBackend{}
+	got, ref := New(cfg, gotNext), New(cfg, refNext)
+	var gotSnap, refSnap *Snapshot
+	src := prng.NewMWC(seed)
+	// Addresses span four cache sizes, so sets conflict and evict.
+	span := 4 * cfg.Size
+	addr := func() mem.Addr { return mem.Addr(prng.Intn(src, span)) &^ 3 }
+	for op := 0; op < ops; op++ {
+		var name string
+		var gl, rl mem.Cycles
+		switch k := prng.Intn(src, 100); {
+		case k < 45:
+			name = "read"
+			a, n := addr(), 4*(1+prng.Intn(src, 3))
+			gl, rl = got.Read(a, n), ref.Read(a, n)
+		case k < 80:
+			name = "write"
+			a, n := addr(), 4*(1+prng.Intn(src, 3))
+			gl, rl = got.Write(a, n), ref.Write(a, n)
+		case k < 86:
+			name = "invalidate"
+			a, n := addr(), 1+prng.Intn(src, 4*cfg.LineSize)
+			gl, rl = got.InvalidateRange(a, n), ref.InvalidateRange(a, n)
+		case k < 91:
+			name = "writeback"
+			a, n := addr(), 1+prng.Intn(src, 4*cfg.LineSize)
+			gl, rl = got.WritebackRange(a, n), ref.WritebackRange(a, n)
+		case k < 94:
+			name = "snapshot"
+			gotSnap, refSnap = got.Snapshot(), ref.Snapshot()
+		case k < 96:
+			name = "restore"
+			if gotSnap != nil {
+				got.Restore(gotSnap)
+				ref.Restore(refSnap)
+			}
+		case k < 97:
+			name = "reseed"
+			s := prng.Intn(src, 1<<30)
+			got.ReseedPlacement(uint64(s))
+			ref.ReseedPlacement(uint64(s))
+		default:
+			name = "flush"
+			gl, rl = got.FlushAll(), fullScanFlush(ref)
+		}
+		where := func() string { return fmt.Sprintf("seed %d op %d (%s)", seed, op, name) }
+		if gl != rl {
+			t.Fatalf("%s: latency %d, reference %d", where(), gl, rl)
+		}
+		if got.Counters() != ref.Counters() {
+			t.Fatalf("%s: counters %+v, reference %+v", where(), got.Counters(), ref.Counters())
+		}
+		if len(gotNext.log) != len(refNext.log) {
+			t.Fatalf("%s: %d next-level transactions, reference %d", where(), len(gotNext.log), len(refNext.log))
+		}
+		for i := range gotNext.log {
+			if gotNext.log[i] != refNext.log[i] {
+				t.Fatalf("%s: next-level transaction %d is %+v, reference %+v", where(), i, gotNext.log[i], refNext.log[i])
+			}
+		}
+		gotNext.log, refNext.log = gotNext.log[:0], refNext.log[:0]
+		for i := range got.lines {
+			if got.lines[i] != ref.lines[i] {
+				t.Fatalf("%s: line %d is %+v, reference %+v", where(), i, got.lines[i], ref.lines[i])
+			}
+			if bit := got.validBits[i>>6]>>(i&63)&1 == 1; bit != got.lines[i].valid {
+				t.Fatalf("%s: valid bitmap bit %d = %v, line valid = %v", where(), i, bit, got.lines[i].valid)
+			}
+		}
 	}
 }

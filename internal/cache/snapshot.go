@@ -8,12 +8,13 @@ import "dsr/internal/prng"
 // one per cache level; restoring it forks the boot state for the next
 // run without replaying the boot traffic.
 type Snapshot struct {
-	lines   []line
-	clock   uint64
-	ctr     Counters
-	mru     []int32
-	mruIdx  int32
-	mruIdx2 int32
+	lines     []line
+	validBits []uint64
+	clock     uint64
+	ctr       Counters
+	mru       []int32
+	mruIdx    int32
+	mruIdx2   int32
 
 	hashSeed  uint64
 	replState uint64
@@ -23,13 +24,14 @@ type Snapshot struct {
 // Snapshot captures the cache's complete state.
 func (c *Cache) Snapshot() *Snapshot {
 	s := &Snapshot{
-		lines:    append([]line(nil), c.lines...),
-		clock:    c.clock,
-		ctr:      c.ctr,
-		mru:      append([]int32(nil), c.mru...),
-		mruIdx:   c.mruIdx,
-		mruIdx2:  c.mruIdx2,
-		hashSeed: c.hashSeed,
+		lines:     append([]line(nil), c.lines...),
+		validBits: append([]uint64(nil), c.validBits...),
+		clock:     c.clock,
+		ctr:       c.ctr,
+		mru:       append([]int32(nil), c.mru...),
+		mruIdx:    c.mruIdx,
+		mruIdx2:   c.mruIdx2,
+		hashSeed:  c.hashSeed,
 	}
 	if st, ok := c.repl.(prng.Stateful); ok {
 		s.replState, s.hasRepl = st.State(), true
@@ -47,6 +49,7 @@ func (c *Cache) Restore(s *Snapshot) {
 		panic("cache: Restore with mismatched snapshot geometry")
 	}
 	copy(c.lines, s.lines)
+	copy(c.validBits, s.validBits)
 	c.clock = s.clock
 	c.ctr = s.ctr
 	copy(c.mru, s.mru)

@@ -177,16 +177,25 @@ type indexedError struct {
 	err   error
 }
 
-// executeParallel is the worker-pool path. Results land in a pre-sized
-// slice guarded by a mutex + condvar; the caller's goroutine walks the
-// slice in canonical order, handing each completed result to merge as
-// soon as it is available.
+// maxPending bounds the results the parallel engine holds between a
+// run completing and its merge: the run count may come from an
+// untrusted job spec, so it must not size an allocation.
+const maxPending = 4096
+
+// executeParallel is the worker-pool path. Results land in a ring of
+// min(runs, maxPending) slots guarded by a mutex + condvar, run i in
+// slot i % len(results); the caller's goroutine walks the ring in
+// canonical order, handing each completed result to merge as soon as
+// it is available. A worker claims run i only once run i-len(results)
+// has merged, so a slot is always free when it is reused.
 func executeParallel[R any](first, n, workers int, interrupt <-chan struct{}, tr *telemetry.Tracer, newWorker func(w int) (RunFunc[R], error), merge MergeFunc[R]) error {
+	slots := min(n-first, maxPending)
 	var (
 		mu      sync.Mutex
 		cond    = sync.NewCond(&mu)
-		results = make([]R, n)
-		done    = make([]bool, n)
+		results = make([]R, slots)
+		done    = make([]bool, slots)
+		merged  = first // next run index to merge
 		next    = first // next unassigned run index
 		stopped bool    // no further runs may be claimed
 		stopReq bool    // Interrupt fired
@@ -202,6 +211,9 @@ func executeParallel[R any](first, n, workers int, interrupt <-chan struct{}, tr
 	claim := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
+		for !stopped && next < n && next-merged >= slots {
+			cond.Wait()
+		}
 		// An interrupt only counts while unclaimed work remains: once every
 		// run has been handed out, the campaign completes normally — there
 		// is nothing left to cut short.
@@ -249,7 +261,7 @@ func executeParallel[R any](first, n, workers int, interrupt <-chan struct{}, tr
 					mu.Unlock()
 					return
 				}
-				results[i], done[i] = r, true
+				results[i%slots], done[i%slots] = r, true
 				cond.Broadcast()
 				mu.Unlock()
 			}
@@ -261,15 +273,20 @@ func executeParallel[R any](first, n, workers int, interrupt <-chan struct{}, tr
 	var mergeErr error
 	mu.Lock()
 	for i := first; i < n; i++ {
+		slot := i % slots
 		mw := ct.Begin(telemetry.SpanMergeWait, i)
-		for !done[i] && !stopped {
+		for !done[slot] && !stopped {
 			cond.Wait()
 		}
 		ct.End(mw)
-		if !done[i] {
+		if !done[slot] {
 			break // stopped before run i completed
 		}
-		r := results[i]
+		r := results[slot]
+		var zero R
+		results[slot], done[slot] = zero, false
+		merged = i + 1
+		cond.Broadcast() // a claim may be waiting for this slot
 		mu.Unlock()
 		if merge != nil {
 			ms := ct.Begin(telemetry.SpanMerge, i)
@@ -285,6 +302,7 @@ func executeParallel[R any](first, n, workers int, interrupt <-chan struct{}, tr
 		}
 	}
 	stopped = true
+	cond.Broadcast() // release claims waiting for a slot
 	mu.Unlock()
 	wg.Wait()
 

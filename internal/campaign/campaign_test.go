@@ -416,3 +416,50 @@ func TestExecuteInterruptBeforeStart(t *testing.T) {
 		t.Fatalf("merged %d runs after pre-fired interrupt", merged)
 	}
 }
+
+// TestExecuteBoundedPending runs a campaign longer than the result
+// ring: merges stay in canonical order, no run is claimed more than
+// maxPending ahead of the merge, and a merge error with workers parked
+// on a full ring still returns instead of deadlocking.
+func TestExecuteBoundedPending(t *testing.T) {
+	const n = 3*maxPending + 17
+	var started atomic.Int64
+	next := 0
+	err := Execute(Config{Runs: n, Workers: 4},
+		func(w int) (RunFunc[int], error) {
+			return func(i int) (int, error) { started.Add(1); return i, nil }, nil
+		},
+		func(i, r int) error {
+			if i != next || r != i {
+				t.Fatalf("merge(%d, %d), want index %d", i, r, next)
+			}
+			next++
+			if s := started.Load(); s > int64(i+1+maxPending) {
+				t.Fatalf("merge %d: %d runs started, more than %d ahead", i, s, maxPending)
+			}
+			if i%maxPending == 0 {
+				// Let the workers fill the ring.
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		})
+	if err != nil || next != n {
+		t.Fatalf("err = %v after %d merges, want nil after %d", err, next, n)
+	}
+
+	sink := errors.New("disk full")
+	err = Execute(Config{Runs: n, Workers: 4},
+		func(w int) (RunFunc[int], error) {
+			return func(i int) (int, error) { return i, nil }, nil
+		},
+		func(i, r int) error {
+			if i == 10 {
+				time.Sleep(10 * time.Millisecond)
+				return sink
+			}
+			return nil
+		})
+	if !errors.Is(err, sink) {
+		t.Fatalf("err = %v, want merge error", err)
+	}
+}

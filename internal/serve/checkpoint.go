@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // Checkpoint file names inside a job directory. The current snapshot
@@ -80,16 +81,55 @@ func (c *Checkpoint) verify(job, specHash string) error {
 // is checksummed, written to a temporary file and renamed over the
 // current checkpoint, which is first rotated to the .prev name. The
 // job directory therefore always holds a loadable snapshot, whatever
-// instant the process dies at.
+// instant the process dies at. c.Sum is ignored and recomputed.
 func WriteCheckpoint(dir string, c Checkpoint) error {
-	c.Sum = c.sum()
-	b, err := json.Marshal(c)
+	points := []byte("null")
+	if c.Points != nil {
+		var err error
+		if points, err = json.Marshal(c.Points); err != nil {
+			return fmt.Errorf("serve: marshal checkpoint: %w", err)
+		}
+	}
+	return writeCheckpoint(dir, c.Job, c.SpecHash, c.Cursor, points)
+}
+
+// writeCheckpoint is WriteCheckpoint over a points array that is
+// already JSON-encoded, given as pieces to concatenate. The file holds
+// exactly the bytes json.Marshal produces for the Checkpoint with its
+// Sum filled in, plus a newline; Sum is the sha256 of the same encoding
+// with Sum empty. The points bytes are hashed and written in place,
+// never copied or re-encoded.
+func writeCheckpoint(dir, job, specHash string, cursor int, points ...[]byte) error {
+	jobJSON, err := json.Marshal(job)
 	if err != nil {
 		return fmt.Errorf("serve: marshal checkpoint: %w", err)
 	}
-	b = append(b, '\n')
+	hashJSON, err := json.Marshal(specHash)
+	if err != nil {
+		return fmt.Errorf("serve: marshal checkpoint: %w", err)
+	}
+	head := make([]byte, 0, 64+len(jobJSON)+len(hashJSON))
+	head = append(head, `{"job":`...)
+	head = append(head, jobJSON...)
+	head = append(head, `,"spec_hash":`...)
+	head = append(head, hashJSON...)
+	head = append(head, `,"cursor":`...)
+	head = strconv.AppendInt(head, int64(cursor), 10)
+	head = append(head, `,"points":`...)
+
+	h := sha256.New()
+	h.Write(head)
+	for _, p := range points {
+		h.Write(p)
+	}
+	h.Write([]byte(`,"sum":""}`))
+	tail := make([]byte, 0, 11+2*sha256.Size)
+	tail = append(tail, `,"sum":"`...)
+	tail = hex.AppendEncode(tail, h.Sum(nil))
+	tail = append(tail, "\"}\n"...)
+
 	tmp := filepath.Join(dir, checkpointFile+".tmp")
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	if err := writeFile(tmp, append(append([][]byte{head}, points...), tail)...); err != nil {
 		return fmt.Errorf("serve: write checkpoint: %w", err)
 	}
 	cur := filepath.Join(dir, checkpointFile)
@@ -102,6 +142,59 @@ func WriteCheckpoint(dir string, c Checkpoint) error {
 		return fmt.Errorf("serve: commit checkpoint: %w", err)
 	}
 	return nil
+}
+
+// writeFile is os.WriteFile over the concatenation of parts, written
+// one part at a time.
+func writeFile(name string, parts ...[]byte) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
+}
+
+// encodedPoints is the JSON encoding of a merged canonical prefix,
+// built one point at a time as the points merge, so each point is
+// encoded exactly once however many checkpoints include it.
+type encodedPoints struct {
+	n     int
+	elems []byte // the encoded points joined by commas
+}
+
+// add appends the encoding of the next point.
+func (e *encodedPoints) add(pt Point) {
+	b, err := json.Marshal(pt)
+	if err != nil {
+		// Point is a plain data struct; Marshal cannot fail on it.
+		panic(fmt.Sprintf("serve: marshal point: %v", err))
+	}
+	if e.n > 0 {
+		e.elems = append(e.elems, ',')
+	}
+	e.elems = append(e.elems, b...)
+	e.n++
+}
+
+// array returns the pieces of the points as a JSON array.
+func (e *encodedPoints) array() [][]byte {
+	return [][]byte{[]byte("["), e.elems, []byte("]")}
+}
+
+// checkpointValue returns the pieces of the checkpoint's points value:
+// null for an empty prefix, matching the nil slice the merge hook held
+// before its first point.
+func (e *encodedPoints) checkpointValue() [][]byte {
+	if e.n == 0 {
+		return [][]byte{[]byte("null")}
+	}
+	return e.array()
 }
 
 // LoadCheckpoint returns the newest intact snapshot for the job, or

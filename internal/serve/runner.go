@@ -84,6 +84,9 @@ type Outcome struct {
 	Telemetry []byte
 }
 
+// maxReservedPoints caps the Points capacity Run reserves up front.
+const maxReservedPoints = 4096
+
 // Run executes a campaign job: the single code path behind both the
 // dsrrun CLI campaign mode and the dsrserve job executor, which is
 // what makes their outputs byte-identical by construction.
@@ -115,7 +118,10 @@ func Run(spec Spec, resume []Point, h Hooks) (*Outcome, error) {
 
 	stream := mbpta.NewStream(spec.MBPTAOptions())
 	camp := telemetry.NewCampaign(0)
-	out := &Outcome{Spec: spec, Name: p.Name, Points: make([]Point, 0, spec.Runs)}
+	// Runs is bounded only from below, so an untrusted spec must not
+	// size an allocation: reserve up to a paper-scale campaign and let
+	// append grow a larger one as its points actually merge.
+	out := &Outcome{Spec: spec, Name: p.Name, Points: make([]Point, 0, min(spec.Runs, maxReservedPoints))}
 	record := func(pt Point) {
 		out.Points = append(out.Points, pt)
 		stream.Observe(float64(pt.Cycles))

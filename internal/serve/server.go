@@ -421,24 +421,27 @@ func (s *Server) runJob(j *job) {
 
 	merged := s.registry.Counter("dsrserve_runs_merged_total", telemetry.Labels{"job": j.spec.ID})
 	progress := s.registry.Gauge("dsrserve_job_runs_done", telemetry.Labels{"job": j.spec.ID})
-	var pts []Point
+	// The merged prefix lives only in its JSON encoding, which every
+	// checkpoint and points.json are written from; it is dropped when
+	// the job returns.
+	var pts encodedPoints
 	lastCkpt := len(resume)
 	hooks := Hooks{
 		Interrupt: j.cancel,
 		Tracer:    j.tracer,
 		Observer:  j.view,
 		OnPoint: func(pt Point) {
-			pts = append(pts, pt)
+			pts.add(pt)
 			merged.Inc()
-			progress.Set(float64(len(pts)))
+			progress.Set(float64(pts.n))
 			s.mu.Lock()
-			j.done = len(pts)
+			j.done = pts.n
 			s.mu.Unlock()
-			if len(pts)-lastCkpt >= s.cfg.CheckpointEvery {
-				if err := s.checkpoint(j, pts); err != nil {
+			if pts.n-lastCkpt >= s.cfg.CheckpointEvery {
+				if err := s.checkpoint(j, &pts); err != nil {
 					s.logf("serve: job %s: checkpoint: %v", j.spec.ID, err)
 				} else {
-					lastCkpt = len(pts)
+					lastCkpt = pts.n
 				}
 			}
 		},
@@ -454,11 +457,11 @@ func (s *Server) runJob(j *job) {
 
 	switch {
 	case err == nil:
-		s.finishJob(j, out, StateDone, "")
+		s.finishJob(j, out, &pts, StateDone, "")
 	case out != nil:
 		// Analysis-stage failure (e.g. i.i.d. gate): the campaign itself
 		// completed, so persist the partial artifacts alongside the error.
-		s.finishJob(j, out, StateFailed, err.Error())
+		s.finishJob(j, out, &pts, StateFailed, err.Error())
 	case errors.Is(err, campaign.ErrInterrupted):
 		if hard {
 			// Crash simulation: leave the disk exactly as the periodic
@@ -468,7 +471,7 @@ func (s *Server) runJob(j *job) {
 		if stopping && !userCancel {
 			// Graceful shutdown: final checkpoint, back to queued on disk
 			// so the next daemon resumes where we stopped.
-			if err := s.checkpoint(j, pts); err != nil {
+			if err := s.checkpoint(j, &pts); err != nil {
 				s.logf("serve: job %s: final checkpoint: %v", j.spec.ID, err)
 			}
 			s.mu.Lock()
@@ -476,7 +479,7 @@ func (s *Server) runJob(j *job) {
 			sw := j.snapshotLocked()
 			s.mu.Unlock()
 			s.persistState(j, sw)
-			s.logf("serve: job %s: suspended at run %d/%d", j.spec.ID, len(pts), j.spec.Runs)
+			s.logf("serve: job %s: suspended at run %d/%d", j.spec.ID, pts.n, j.spec.Runs)
 			return
 		}
 		// Explicit cancellation. The view is captured under the lock: the
@@ -490,7 +493,7 @@ func (s *Server) runJob(j *job) {
 		s.persistState(j, sw)
 		view.Done()
 		s.countTerminal(StateCancelled)
-		s.logf("serve: job %s: cancelled at run %d/%d", j.spec.ID, len(pts), j.spec.Runs)
+		s.logf("serve: job %s: cancelled at run %d/%d", j.spec.ID, pts.n, j.spec.Runs)
 	default:
 		s.mu.Lock()
 		j.state = StateFailed
@@ -506,27 +509,21 @@ func (s *Server) runJob(j *job) {
 }
 
 // checkpoint snapshots the merged prefix.
-func (s *Server) checkpoint(j *job, pts []Point) error {
-	return WriteCheckpoint(s.jobDir(j.spec.ID), Checkpoint{
-		Job: j.spec.ID, SpecHash: j.hash, Cursor: len(pts),
-		Points: append([]Point(nil), pts...),
-	})
+func (s *Server) checkpoint(j *job, pts *encodedPoints) error {
+	return writeCheckpoint(s.jobDir(j.spec.ID), j.spec.ID, j.hash, pts.n, pts.checkpointValue()...)
 }
 
-// finishJob persists a completed campaign's artifacts — points.json,
-// report.txt (the exact bytes dsrrun would print), telemetry.jsonl —
-// and marks the job terminal.
-func (s *Server) finishJob(j *job, out *Outcome, state JobState, errMsg string) {
+// finishJob persists a completed campaign's artifacts — points.json
+// (from pts, the encoding of out.Points), report.txt (the exact bytes
+// dsrrun would print), telemetry.jsonl — and marks the job terminal.
+func (s *Server) finishJob(j *job, out *Outcome, pts *encodedPoints, state JobState, errMsg string) {
 	dir := s.jobDir(j.spec.ID)
-	write := func(name string, b []byte) {
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+	write := func(name string, parts ...[]byte) {
+		if err := writeFile(filepath.Join(dir, name), parts...); err != nil {
 			s.logf("serve: job %s: write %s: %v", j.spec.ID, name, err)
 		}
 	}
-	pb, err := json.Marshal(out.Points)
-	if err == nil {
-		write("points.json", append(pb, '\n'))
-	}
+	write("points.json", append(pts.array(), []byte("\n"))...)
 	write("report.txt", []byte(FormatReport(out)))
 	write("telemetry.jsonl", out.Telemetry)
 

@@ -10,10 +10,26 @@ import (
 // timeline (which is what makes the Chrome trace a coherent campaign
 // view). A nil *Campaign disables everything.
 type Campaign struct {
+	// Registry must not be replaced once a run is recorded: RecordRun
+	// keeps the handles it resolved from it.
 	Registry *Registry
 	Events   *EventLog
 
 	clock mem.Cycles
+
+	// series holds each series' metric handles.
+	series map[string]*seriesMetrics
+}
+
+// seriesMetrics are the registry handles RecordRun updates for one
+// series. Each handle is resolved on the first run that updates it, so
+// the registry holds exactly the series it would hold if every run
+// looked its metrics up by name.
+type seriesMetrics struct {
+	runs, cycles *Counter
+	runCycles    *Histogram
+	uoa          *Histogram              // nil until the first run with a UoA
+	attributed   [NumComponents]*Counter // nil until the component's first non-zero value
 }
 
 // NewCampaign builds an enabled campaign with an event ring of the given
@@ -68,18 +84,24 @@ func (c *Campaign) RecordRun(rec RunRecord) {
 	if c == nil {
 		return
 	}
-	labels := Labels{"series": rec.Series}
-	c.Registry.Counter("dsr_runs_total", labels).Inc()
-	c.Registry.Counter("dsr_run_cycles_total", labels).Add(uint64(rec.Cycles))
-	c.Registry.Histogram("dsr_run_cycles", labels, RunCycleBounds).Observe(float64(rec.Cycles))
+	m := c.metrics(rec.Series)
+	m.runs.Inc()
+	m.cycles.Add(uint64(rec.Cycles))
+	m.runCycles.Observe(float64(rec.Cycles))
 	if rec.UoA > 0 {
-		c.Registry.Histogram("dsr_uoa_cycles", labels, RunCycleBounds).Observe(rec.UoA)
+		if m.uoa == nil {
+			m.uoa = c.Registry.Histogram("dsr_uoa_cycles", Labels{"series": rec.Series}, RunCycleBounds)
+		}
+		m.uoa.Observe(rec.UoA)
 	}
 	if rec.Attribution.Valid {
 		for comp := Component(0); comp < NumComponents; comp++ {
 			if v := rec.Attribution.Component(comp); v > 0 {
-				c.Registry.Counter("dsr_attributed_cycles_total",
-					Labels{"series": rec.Series, "component": comp.String()}).Add(uint64(v))
+				if m.attributed[comp] == nil {
+					m.attributed[comp] = c.Registry.Counter("dsr_attributed_cycles_total",
+						Labels{"series": rec.Series, "component": comp.String()})
+				}
+				m.attributed[comp].Add(uint64(v))
 			}
 		}
 	}
@@ -116,6 +138,25 @@ func (c *Campaign) RecordRun(rec RunRecord) {
 	}
 	c.Events.EmitAt(start+rec.Cycles, rec.Series, "run", PhaseEnd)
 	c.Advance(rec.Cycles)
+}
+
+// metrics returns the series' handles, resolving the per-run ones on
+// the series' first run.
+func (c *Campaign) metrics(series string) *seriesMetrics {
+	if m := c.series[series]; m != nil {
+		return m
+	}
+	labels := Labels{"series": series}
+	m := &seriesMetrics{
+		runs:      c.Registry.Counter("dsr_runs_total", labels),
+		cycles:    c.Registry.Counter("dsr_run_cycles_total", labels),
+		runCycles: c.Registry.Histogram("dsr_run_cycles", labels, RunCycleBounds),
+	}
+	if c.series == nil {
+		c.series = map[string]*seriesMetrics{}
+	}
+	c.series[series] = m
+	return m
 }
 
 // Dump snapshots the campaign into the exportable form; nil-safe (empty
