@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate examples dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke bench-smoke fuzz clean
+.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate examples dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke bench-smoke loc fuzz clean
 
 all: build lint test race race-campaign dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke bench-smoke
 
@@ -160,6 +160,16 @@ serve-smoke: build
 # an API change breaks the benchmark's build or its traced run.
 bench-smoke:
 	cd perfbench && GOPROXY=off $(GO) test ./...
+
+# Non-test Go lines of the campaign packages, the commands and the
+# whole tree (perfbench/ is its own module and excluded), so every
+# simplification reports its net change the same way.
+LOC_DIRS := internal/experiments internal/serve cmd
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l; }; \
+	for d in $(LOC_DIRS); do printf '%-36s %7d\n' "$$d" "$$(count $$d)"; done; \
+	printf '%-36s %7d\n' "experiments + serve + cmd" "$$(count $(LOC_DIRS))"; \
+	printf '%-36s %7d\n' "tree excluding perfbench/" "$$(count .)"
 
 # Regenerate every table and figure of the paper at full scale.
 evaluate: build

@@ -25,12 +25,9 @@ import (
 	"fmt"
 	"os"
 
-	"dsr/internal/analysis"
 	"dsr/internal/analysis/leak"
 	"dsr/internal/analysis/wcet"
-	"dsr/internal/asm"
-	"dsr/internal/prog"
-	"dsr/internal/spaceapp"
+	"dsr/internal/cliprog"
 )
 
 func main() {
@@ -42,22 +39,14 @@ func main() {
 	)
 	flag.Parse()
 
-	p, lines, err := loadProgram(*builtin)
+	p, lines, err := cliprog.Load("dsrleak", *builtin, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsrleak:", err)
 		os.Exit(2)
 	}
-
-	var m wcet.Mode
-	switch *mode {
-	case "det":
-		m = wcet.ModeDet
-	case "dsr-eager":
-		m = wcet.ModeDSREager
-	case "dsr-lazy":
-		m = wcet.ModeDSRLazy
-	default:
-		fmt.Fprintf(os.Stderr, "dsrleak: unknown mode %q (want det, dsr-eager or dsr-lazy)\n", *mode)
+	m, err := wcet.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dsrleak:", err)
 		os.Exit(2)
 	}
 
@@ -83,31 +72,5 @@ func main() {
 	}
 	if !rep.Bounded {
 		os.Exit(1)
-	}
-}
-
-func loadProgram(builtin string) (*prog.Program, analysis.LineResolver, error) {
-	switch builtin {
-	case "control":
-		p, err := spaceapp.BuildControl()
-		return p, nil, err
-	case "processing":
-		p, err := spaceapp.BuildProcessing()
-		return p, nil, err
-	case "":
-		if flag.NArg() != 1 {
-			return nil, nil, fmt.Errorf("usage: dsrleak [flags] prog.s | dsrleak -builtin control|processing")
-		}
-		src, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			return nil, nil, err
-		}
-		p, info, err := asm.AssembleWithInfo(string(src))
-		if err != nil {
-			return nil, nil, err
-		}
-		return p, info.InstrLine, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown builtin %q (want control or processing)", builtin)
 	}
 }

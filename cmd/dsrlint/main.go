@@ -32,12 +32,10 @@ import (
 	"dsr/internal/analysis"
 	"dsr/internal/analysis/leak"
 	"dsr/internal/analysis/wcet"
-	"dsr/internal/asm"
+	"dsr/internal/cliprog"
 	"dsr/internal/core"
 	"dsr/internal/loader"
 	"dsr/internal/platform"
-	"dsr/internal/prog"
-	"dsr/internal/spaceapp"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -65,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	p, lines, err := loadProgram(*builtin, fs.Args())
+	p, lines, err := cliprog.Load("dsrlint", *builtin, fs.Args())
 	if err != nil {
 		fmt.Fprintln(stderr, "dsrlint:", err)
 		return 2
@@ -183,30 +181,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "dsrlint: %s clean (%d diagnostics)\n", p.Name, len(diags))
 	return 0
-}
-
-func loadProgram(builtin string, args []string) (*prog.Program, analysis.LineResolver, error) {
-	switch builtin {
-	case "control":
-		p, err := spaceapp.BuildControl()
-		return p, nil, err
-	case "processing":
-		p, err := spaceapp.BuildProcessing()
-		return p, nil, err
-	case "":
-		if len(args) != 1 {
-			return nil, nil, fmt.Errorf("usage: dsrlint [flags] prog.s | dsrlint -builtin control|processing")
-		}
-		src, err := os.ReadFile(args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		p, info, err := asm.AssembleWithInfo(string(src))
-		if err != nil {
-			return nil, nil, err
-		}
-		return p, info.InstrLine, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown builtin %q (want control or processing)", builtin)
-	}
 }

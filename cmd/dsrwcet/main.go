@@ -24,12 +24,9 @@ import (
 	"os"
 	"sort"
 
-	"dsr/internal/analysis"
 	"dsr/internal/analysis/wcet"
-	"dsr/internal/asm"
+	"dsr/internal/cliprog"
 	"dsr/internal/mem"
-	"dsr/internal/prog"
-	"dsr/internal/spaceapp"
 )
 
 func main() {
@@ -43,7 +40,7 @@ func main() {
 	)
 	flag.Parse()
 
-	p, lines, err := loadProgram(*builtin)
+	p, lines, err := cliprog.Load("dsrwcet", *builtin, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsrwcet:", err)
 		os.Exit(2)
@@ -56,16 +53,9 @@ func main() {
 	if *reloc >= 0 {
 		cfg.RelocBound = mem.Cycles(*reloc)
 	}
-	var m wcet.Mode
-	switch *mode {
-	case "det":
-		m = wcet.ModeDet
-	case "dsr-eager":
-		m = wcet.ModeDSREager
-	case "dsr-lazy":
-		m = wcet.ModeDSRLazy
-	default:
-		fmt.Fprintf(os.Stderr, "dsrwcet: unknown mode %q (want det, dsr-eager or dsr-lazy)\n", *mode)
+	m, err := wcet.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dsrwcet:", err)
 		os.Exit(2)
 	}
 
@@ -135,31 +125,5 @@ func printText(r *wcet.Report, quiet bool) {
 		for _, n := range names {
 			fmt.Printf("    %-28s %d cycles\n", n, r.FuncCycles[n])
 		}
-	}
-}
-
-func loadProgram(builtin string) (*prog.Program, analysis.LineResolver, error) {
-	switch builtin {
-	case "control":
-		p, err := spaceapp.BuildControl()
-		return p, nil, err
-	case "processing":
-		p, err := spaceapp.BuildProcessing()
-		return p, nil, err
-	case "":
-		if flag.NArg() != 1 {
-			return nil, nil, fmt.Errorf("usage: dsrwcet [flags] prog.s | dsrwcet -builtin control|processing")
-		}
-		src, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			return nil, nil, err
-		}
-		p, info, err := asm.AssembleWithInfo(string(src))
-		if err != nil {
-			return nil, nil, err
-		}
-		return p, info.InstrLine, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown builtin %q (want control or processing)", builtin)
 	}
 }

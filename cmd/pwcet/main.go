@@ -25,10 +25,9 @@ import (
 	"strings"
 
 	"dsr/internal/analysis/wcet"
+	"dsr/internal/cliprog"
 	"dsr/internal/mbpta"
-	"dsr/internal/prog"
 	"dsr/internal/rvs"
-	"dsr/internal/spaceapp"
 )
 
 func main() {
@@ -108,30 +107,16 @@ func resolveStatic(spec string) (float64, string, error) {
 	if !ok {
 		return 0, "", fmt.Errorf("-static wants a cycle count or app:mode, got %q", spec)
 	}
-	var (
-		p   *prog.Program
-		err error
-	)
-	switch app {
-	case "control":
-		p, err = spaceapp.BuildControl()
-	case "processing":
-		p, err = spaceapp.BuildProcessing()
-	default:
+	build, ok := cliprog.Builtin(app)
+	if !ok {
 		return 0, "", fmt.Errorf("-static app %q: want control or processing", app)
 	}
+	p, err := build()
 	if err != nil {
 		return 0, "", err
 	}
-	var mode wcet.Mode
-	switch modeName {
-	case "det":
-		mode = wcet.ModeDet
-	case "dsr-eager":
-		mode = wcet.ModeDSREager
-	case "dsr-lazy":
-		mode = wcet.ModeDSRLazy
-	default:
+	mode, err := wcet.ParseMode(modeName)
+	if err != nil {
 		return 0, "", fmt.Errorf("-static mode %q: want det, dsr-eager or dsr-lazy", modeName)
 	}
 	rep, err := wcet.AnalyzeMode(p, mode, wcet.Config{})

@@ -83,6 +83,16 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String: det, dsr-eager or dsr-lazy.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{ModeDet, ModeDSREager, ModeDSRLazy} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want det, dsr-eager or dsr-lazy)", s)
+}
+
 // Config parameterises the analysis.
 type Config struct {
 	// Platform supplies cache/TLB/bus/DRAM geometry and latencies.

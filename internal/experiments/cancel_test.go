@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dsr/internal/analysis/wcet"
 	"dsr/internal/campaign"
 	"dsr/internal/campaign/determtest"
 	"dsr/internal/mbpta"
@@ -88,4 +89,63 @@ func TestCampaignCancelMidFlight(t *testing.T) {
 	// cancelled reference on every surface.
 	resub := runCampaign(t, seriesRun{"DSR", runs, RunDSR}, 8)
 	determtest.Check(t, "resubmit after cancel vs uncancelled", ref.output(), resub.output())
+
+	// The leakage campaign honours the same contract; its merged
+	// surface is the progress feed.
+	checkLeakCancel(t, runs, cancelAt)
+}
+
+// checkLeakCancel cancels a RunLeak campaign after cancelAt merges and
+// checks it stops with campaign.ErrInterrupted after merging a
+// canonical prefix of the uncancelled campaign, and that a resubmission
+// is identical to the uncancelled campaign.
+func checkLeakCancel(t *testing.T, runs, cancelAt int) {
+	t.Helper()
+	type step struct {
+		series      string
+		done, total int
+	}
+	run := func(interrupt chan struct{}) (*LeakSeries, []step, error) {
+		cfg := DefaultConfig()
+		cfg.Runs = runs
+		cfg.Workers = 8
+		var steps []step
+		cfg.Progress = func(series string, done, total int) {
+			steps = append(steps, step{series, done, total})
+			if interrupt != nil && done == cancelAt {
+				close(interrupt)
+			}
+		}
+		if interrupt != nil {
+			cfg.Interrupt = interrupt
+		}
+		s, err := RunLeak(cfg, wcet.ModeDSREager)
+		return s, steps, err
+	}
+	ref, refSteps, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, steps, err := run(make(chan struct{}))
+	if !errors.Is(err, campaign.ErrInterrupted) {
+		t.Fatalf("cancelled RunLeak returned %v, want campaign.ErrInterrupted", err)
+	}
+	if s != nil {
+		t.Fatal("cancelled RunLeak returned a series")
+	}
+	merged := len(steps)
+	if merged < cancelAt || merged >= runs {
+		t.Fatalf("cancelled RunLeak merged %d runs (cancelled at %d of %d)", merged, cancelAt, runs)
+	}
+	if !reflect.DeepEqual(steps, refSteps[:merged]) {
+		t.Errorf("cancelled RunLeak progress is not a prefix of the uncancelled one:\n  cancelled %v\n  reference %v",
+			steps, refSteps[:merged])
+	}
+	resub, _, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resub, ref) {
+		t.Error("RunLeak resubmitted after cancel differs from the uncancelled campaign")
+	}
 }

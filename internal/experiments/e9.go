@@ -6,13 +6,11 @@ import (
 
 	"dsr/internal/analysis/schedfeas"
 	"dsr/internal/campaign"
-	"dsr/internal/core"
-	"dsr/internal/loader"
 	"dsr/internal/mbpta"
-	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/rtos"
 	"dsr/internal/spaceapp"
+	"dsr/internal/workload"
 )
 
 // E9 — schedule randomisation x layout randomisation. DSR randomises
@@ -212,124 +210,6 @@ func (s *E9Series) OffsetsWithinSupport() error {
 	return nil
 }
 
-// e9Runner hosts one E9 partition: it applies the activation's input
-// vector on Activate (after the layout reboot, when the cell
-// randomises layouts) and verifies the functional result on Execute —
-// randomisation on either axis must never change what the software
-// computes.
-type e9Runner struct {
-	name string
-	plat *platform.Platform
-	// Fixed-layout hosting: image + booted snapshot, restored per run.
-	img  *loader.Image
-	snap *platform.Snapshot
-	// DSR hosting: runtime rebooted per activation with a schedule seed.
-	rt    *core.Runtime
-	seeds campaign.Schedule
-	// Input generation.
-	inputBase uint64
-	control   bool
-	lastIn    *spaceapp.ControlInput
-	lastScene *spaceapp.Scene
-}
-
-func (r *e9Runner) Name() string { return r.name }
-
-func (r *e9Runner) image() *loader.Image {
-	if r.rt != nil {
-		return r.rt.Image()
-	}
-	return r.img
-}
-
-// Activate implements rtos.Runner: partition reboot (fresh layout draw
-// under DSR, memory restore otherwise), then the activation's input.
-func (r *e9Runner) Activate(act uint64) error {
-	if r.rt != nil {
-		if _, err := r.rt.Reboot(r.seeds.Seed(int(act))); err != nil {
-			return err
-		}
-	} else {
-		r.plat.Restore(r.snap)
-	}
-	if r.control {
-		r.lastIn = spaceapp.GenControlInput(r.inputBase + act)
-		return spaceapp.ApplyControlInput(r.plat.Mem, r.image(), r.lastIn)
-	}
-	r.lastScene = spaceapp.GenScene(r.inputBase+act, spaceapp.LitFraction)
-	return spaceapp.ApplyScene(r.plat.Mem, r.image(), r.lastScene)
-}
-
-// Execute implements rtos.Runner and verifies the run against the
-// golden model before reporting it.
-func (r *e9Runner) Execute(budget mem.Cycles) (platform.RunResult, bool, error) {
-	var (
-		res  platform.RunResult
-		done bool
-		err  error
-	)
-	if r.rt != nil {
-		res, done, err = r.rt.RunBudget(budget)
-	} else {
-		res, done, err = r.plat.RunBudget(budget)
-	}
-	if err != nil || !done {
-		return res, done, err
-	}
-	if r.control {
-		if err := verify(res, r.lastIn); err != nil {
-			return res, done, err
-		}
-	} else if want := spaceapp.ProcessingReference(r.lastScene).RMSBits; res.ExitValue != want {
-		return res, done, fmt.Errorf("experiments: processing mismatch: %#x vs %#x", res.ExitValue, want)
-	}
-	return res, done, nil
-}
-
-// newE9Control builds the cell's control-partition runner.
-func newE9Control(cell E9Cell, layoutSeeds campaign.Schedule, inputBase uint64) (*e9Runner, error) {
-	p, err := spaceapp.BuildControl()
-	if err != nil {
-		return nil, err
-	}
-	plat := platform.New(platform.ProximaLEON3())
-	r := &e9Runner{name: "control", plat: plat, inputBase: inputBase, control: true}
-	if cell.LayoutRand {
-		rt, err := core.NewRuntime(p, plat, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		r.rt, r.seeds = rt, layoutSeeds
-		return r, nil
-	}
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		return nil, err
-	}
-	plat.LoadImage(img)
-	r.img, r.snap = img, plat.Snapshot()
-	return r, nil
-}
-
-// newE9Processing builds the fixed-image processing runner every cell
-// shares.
-func newE9Processing(inputBase uint64) (*e9Runner, error) {
-	p, err := spaceapp.BuildProcessing()
-	if err != nil {
-		return nil, err
-	}
-	plat := platform.New(platform.ProximaLEON3())
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		return nil, err
-	}
-	plat.LoadImage(img)
-	return &e9Runner{
-		name: "processing", plat: plat, img: img, snap: plat.Snapshot(),
-		inputBase: inputBase,
-	}, nil
-}
-
 // e9Shard is one frame's outcome before the canonical merge.
 type e9Shard struct {
 	cycles   float64
@@ -357,14 +237,32 @@ func RunE9Cell(cfg Config, cell E9Cell) (*E9Series, error) {
 
 	sched := cfg.schedule()
 	schedSeedBase := sched.Split(e9SchedStream).Seed(cell.index())
-	layoutSeeds := sched
+	// Both partitions are golden-checked on every completed window:
+	// randomisation on either axis must never change what the software
+	// computes. The processing partition keeps a fixed image in every
+	// cell.
+	control := controlTask(workload.FixedImage)
+	control.InputBase = cfg.InputSeedBase
+	control.Tracer = cfg.Tracer
+	if cell.LayoutRand {
+		control.Layout = workload.DSR
+		control.Seed = sched.Seed
+	}
+	processing := workload.Workload{
+		Build:       spaceapp.BuildProcessing,
+		Platform:    platform.ProximaLEON3(),
+		Input:       workload.SceneInput,
+		InputBase:   cfg.InputSeedBase,
+		LitFraction: spaceapp.LitFraction,
+		Tracer:      cfg.Tracer,
+	}
 
 	newWorker := func(w int) (campaign.RunFunc[e9Shard], error) {
-		ctrl, err := newE9Control(cell, layoutSeeds, cfg.InputSeedBase)
+		ctrl, err := control.Host(w)
 		if err != nil {
 			return nil, err
 		}
-		proc, err := newE9Processing(cfg.InputSeedBase)
+		proc, err := processing.Host(w)
 		if err != nil {
 			return nil, err
 		}
@@ -395,8 +293,7 @@ func RunE9Cell(cfg Config, cell E9Cell) (*E9Series, error) {
 		}, nil
 	}
 
-	ecfg := campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Interrupt: cfg.Interrupt}
-	err := campaign.Execute(ecfg, newWorker, func(i int, sh e9Shard) error {
+	err := campaign.Execute(cfg.engine(), newWorker, func(i int, sh e9Shard) error {
 		s.ControlCycles[i] = sh.cycles
 		s.ControlOffsets[i] = sh.offset
 		s.Overruns += sh.overruns
@@ -426,9 +323,9 @@ type E9Row struct {
 	// Feasibility outcome.
 	Overruns int
 	// Timing side: control MOET, i.i.d. gate, pWCET when estimable.
-	MOET     float64
-	IID      *mbpta.IIDReport // nil when the campaign is too short to test
-	PWCET    float64          // 0 when the campaign is too short for a tail fit
+	MOET  float64
+	IID   *mbpta.IIDReport // nil when the campaign is too short to test
+	PWCET float64          // 0 when the campaign is too short for a tail fit
 }
 
 // E9Report is the experiment outcome: the grid and three verdicts.

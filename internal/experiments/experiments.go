@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"dsr/internal/bus"
+	"dsr/internal/cache"
 	"dsr/internal/campaign"
 	"dsr/internal/core"
 	"dsr/internal/layout"
@@ -29,6 +30,7 @@ import (
 	"dsr/internal/spaceapp"
 	"dsr/internal/stats"
 	"dsr/internal/telemetry"
+	"dsr/internal/workload"
 )
 
 // Config dimensions a measurement campaign.
@@ -135,36 +137,21 @@ func (s *Series) MinMeanMax() (min, mean, max float64) {
 	return stats.Min(s.Cycles), stats.Mean(s.Cycles), stats.Max(s.Cycles)
 }
 
-// verify checks a run against the golden model; layout randomisation
-// must never change functional results.
-func verify(res platform.RunResult, in *spaceapp.ControlInput) error {
-	if want := spaceapp.ControlReference(in); res.ExitValue != want {
-		return fmt.Errorf("experiments: functional mismatch: got %#x, golden %#x", res.ExitValue, want)
-	}
-	return nil
+// workload completes a series recipe with the campaign's input seeds
+// and observability settings: cycle attribution, span tracing, and
+// runtime-event capture whenever the merge replays events into the
+// telemetry campaign.
+func (cfg *Config) workload(wl workload.Workload) *workload.Workload {
+	wl.InputBase = cfg.InputSeedBase
+	wl.Attribution = cfg.Attribution
+	wl.Capture = cfg.Telemetry != nil
+	wl.Tracer = cfg.Tracer
+	return &wl
 }
 
-// instrument applies the campaign's observability configuration to a
-// freshly built platform.
-func (cfg *Config) instrument(plat *platform.Platform) {
-	if cfg.Attribution {
-		plat.EnableAttribution()
-	}
-}
-
-// trace returns the span track of worker w; nil (the valid no-op
-// track) when tracing is disabled.
-func (cfg *Config) trace(w int) *telemetry.WorkerTracer {
-	return cfg.Tracer.Worker(w)
-}
-
-// newCapture returns a per-worker capture log for runtime events, or
-// nil (the valid no-op log) when telemetry is disabled.
-func (cfg *Config) newCapture() *telemetry.EventLog {
-	if cfg.Telemetry == nil {
-		return nil
-	}
-	return telemetry.NewCaptureLog()
+// engine returns the campaign engine configuration of a series.
+func (cfg *Config) engine() campaign.Config {
+	return campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Tracer: cfg.Tracer, Interrupt: cfg.Interrupt}
 }
 
 // schedule returns the campaign's layout-seed schedule.
@@ -210,15 +197,14 @@ type shard struct {
 	events []telemetry.Event
 }
 
-// worker executes one run by canonical index on worker-private state.
-type worker = campaign.RunFunc[shard]
-
-// runSeries shards a series' runs across the campaign engine and
+// runSeries runs one series recipe: every worker hosts the workload,
+// every run activates (reboots or forks) and executes it. The engine
 // merges the results back in canonical run order: replayed runtime
 // events first (exactly where the sequential loop would have emitted
 // them live, at the pre-run campaign-clock position), then the run
 // record itself.
-func (cfg Config) runSeries(name string, newWorker func(w int) (worker, error)) (*Series, error) {
+func (cfg Config) runSeries(name string, recipe workload.Workload) (*Series, error) {
+	wl := cfg.workload(recipe)
 	s := &Series{
 		Name:    name,
 		Cycles:  make([]float64, cfg.Runs),
@@ -227,8 +213,23 @@ func (cfg Config) runSeries(name string, newWorker func(w int) (worker, error)) 
 	if cfg.Observer != nil {
 		cfg.Observer.BeginSeries(name, cfg.Runs)
 	}
-	ecfg := campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Tracer: cfg.Tracer, Interrupt: cfg.Interrupt}
-	err := campaign.Execute(ecfg, newWorker, func(i int, sh shard) error {
+	newWorker := func(w int) (campaign.RunFunc[shard], error) {
+		h, err := wl.Host(w)
+		if err != nil {
+			return nil, err
+		}
+		return func(i int) (shard, error) {
+			if err := h.Activate(uint64(i)); err != nil {
+				return shard{}, err
+			}
+			res, err := h.Run()
+			if err != nil {
+				return shard{}, err
+			}
+			return shard{seed: h.Seed(), res: res, events: h.Events()}, nil
+		}, nil
+	}
+	err := campaign.Execute(cfg.engine(), newWorker, func(i int, sh shard) error {
 		if cfg.Telemetry != nil {
 			cfg.Telemetry.Events.ReplayAt(cfg.Telemetry.Now(), sh.events)
 		}
@@ -254,49 +255,23 @@ func uoaCycles(res platform.RunResult) float64 {
 	return float64(res.Cycles)
 }
 
+// controlTask is the control task on the paper's platform with a fresh
+// input vector per run — the recipe every control-task series varies.
+func controlTask(layout workload.Layout) workload.Workload {
+	return workload.Workload{
+		Build:    spaceapp.BuildControl,
+		Platform: platform.ProximaLEON3(),
+		Layout:   layout,
+		Input:    workload.ControlInput,
+	}
+}
+
 // RunBaseline measures the original (non-randomised) binary: one fixed
-// sequential layout, fresh input per run, cache flush and memory reload
-// between runs — the paper's COTS configuration.
+// sequential layout, fresh input per run, and a fork of the booted
+// platform (cache and memory state) before every run — the paper's
+// COTS configuration.
 func RunBaseline(cfg Config) (*Series, error) {
-	return cfg.runSeries("No Rand", func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		img, err := loader.Load(p, loader.DefaultSequentialConfig())
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
-		plat.LoadImage(img)
-		// Boot once, then fork the booted platform before every run: the
-		// copy-on-write restore touches only the pages the previous run
-		// dirtied, where the old clear-and-reload path re-applied the whole
-		// image (and, before dirty-page tracking, reallocated every page).
-		snap := plat.Snapshot()
-		wt := cfg.trace(w)
-		return func(i int) (shard, error) {
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			boot := wt.Begin(telemetry.SpanBoot, -1)
-			plat.Restore(snap)
-			err := spaceapp.ApplyControlInput(plat.Mem, img, in)
-			wt.End(boot)
-			if err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := plat.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{res: res}, nil
-		}, nil
-	})
+	return cfg.runSeries("No Rand", controlTask(workload.FixedImage))
 }
 
 // dsrSeries is the common DSR campaign: each worker owns a fresh
@@ -304,49 +279,16 @@ func RunBaseline(cfg Config) (*Series, error) {
 // particular a private PRNG source), and every run reboots with its
 // schedule-derived seed.
 func dsrSeries(cfg Config, name string, newOpts func() core.Options) (*Series, error) {
-	sched := cfg.schedule()
-	return cfg.runSeries(name, func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
-		rt, err := core.NewRuntime(p, plat, newOpts())
-		if err != nil {
-			return nil, err
-		}
-		capture := cfg.newCapture()
-		rt.SetEventLog(capture)
-		wt := cfg.trace(w)
-		rt.SetTracer(wt)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			if _, err := rt.Reboot(seed); err != nil {
-				return shard{}, err
-			}
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			if err := spaceapp.ApplyControlInput(plat.Mem, rt.Image(), in); err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := rt.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{seed: seed, res: res, events: capture.Take()}, nil
-		}, nil
-	})
+	wl := controlTask(workload.DSR)
+	wl.Options = newOpts
+	wl.Seed = cfg.schedule().Seed
+	return cfg.runSeries(name, wl)
 }
 
 // RunDSR measures the dynamically software-randomised binary: partition
 // reboot with a fresh seed before every run (§IV).
 func RunDSR(cfg Config) (*Series, error) {
-	return dsrSeries(cfg, "Sw Rand", func() core.Options { return core.Options{} })
+	return dsrSeries(cfg, "Sw Rand", nil)
 }
 
 // RunDSRLazy is the A1 ablation: lazy relocation inside the measured
@@ -373,94 +315,24 @@ func RunDSRWithPRNG(cfg Config, newSrc func() prng.Source, name string) (*Series
 
 // RunHWRand is the A4 ablation: the unmodified binary on hardware
 // time-randomised caches (random placement and replacement), reseeded
-// per run.
+// per run. The reseed follows the fork's restore, so every run's
+// placement hash and replacement stream are the schedule's, exactly as
+// on a fresh boot.
 func RunHWRand(cfg Config) (*Series, error) {
 	sched := cfg.schedule()
-	return cfg.runSeries("Hw Rand", func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		img, err := loader.Load(p, loader.DefaultSequentialConfig())
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.HWRandLEON3())
-		cfg.instrument(plat)
-		plat.LoadImage(img)
-		// Fork the booted platform per run; the per-run cache reseed comes
-		// after the restore so every run's placement hash and replacement
-		// stream are the schedule's, exactly as on a fresh boot.
-		snap := plat.Snapshot()
-		wt := cfg.trace(w)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			boot := wt.Begin(telemetry.SpanBoot, -1)
-			plat.Restore(snap)
-			plat.ReseedCaches(seed)
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			err := spaceapp.ApplyControlInput(plat.Mem, img, in)
-			wt.End(boot)
-			if err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := plat.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{seed: seed, res: res}, nil
-		}, nil
-	})
+	wl := controlTask(workload.FixedImage)
+	wl.Platform = platform.HWRandLEON3()
+	wl.Seed = sched.Seed
+	wl.Reseed = func(plat *platform.Platform, i int) { plat.ReseedCaches(sched.Seed(i)) }
+	return cfg.runSeries("Hw Rand", wl)
 }
 
 // RunStatic is the A5 ablation: static software randomisation — one
 // fresh randomised binary per run, zero runtime overhead (TASA-style).
 func RunStatic(cfg Config) (*Series, error) {
-	sched := cfg.schedule()
-	return cfg.runSeries("Static Rand", func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
-		wt := cfg.trace(w)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			// Static randomisation pays its cost at build time: the fresh
-			// per-run image build is the relocation phase here.
-			reloc := wt.Begin(telemetry.SpanReloc, -1)
-			img, err := core.StaticBuild(p, loader.DefaultSequentialConfig(), plat.Cfg.L2.WaySize(), seed)
-			wt.End(reloc)
-			if err != nil {
-				return shard{}, err
-			}
-			boot := wt.Begin(telemetry.SpanBoot, -1)
-			plat.LoadImage(img)
-			plat.Reload()
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			err = spaceapp.ApplyControlInput(plat.Mem, img, in)
-			wt.End(boot)
-			if err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := plat.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{seed: seed, res: res}, nil
-		}, nil
-	})
+	wl := controlTask(workload.StaticBuild)
+	wl.Seed = cfg.schedule().Seed
+	return cfg.runSeries("Static Rand", wl)
 }
 
 // counterRange formats a min-max counter span the way Table I does
@@ -621,50 +493,18 @@ func FormatMargin(mc mbpta.MarginComparison, dsrMOET float64) string {
 func RunDSRWithContention(cfg Config, cont bus.Contention, name string) (*Series, error) {
 	sched := cfg.schedule()
 	busSched := sched.Split(busStream)
-	return cfg.runSeries(name, func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
+	wl := controlTask(workload.DSR)
+	wl.Seed = sched.Seed
+	// Reseed before boot too: the relocation pass's bus traffic must
+	// draw from run i's contention stream, not from state left by
+	// whatever run this worker executed before — the determinism
+	// invariant again. The second reseed restores the measured window's
+	// canonical draw sequence.
+	wl.Reseed = func(plat *platform.Platform, i int) {
 		plat.Bus.SetContention(cont)
-		rt, err := core.NewRuntime(p, plat, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		capture := cfg.newCapture()
-		rt.SetEventLog(capture)
-		wt := cfg.trace(w)
-		rt.SetTracer(wt)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			// Reseed before boot too: the relocation pass's bus traffic
-			// must draw from run i's contention stream, not from state
-			// left by whatever run this worker executed before — the
-			// determinism invariant again. The second reseed restores
-			// the measured window's canonical draw sequence.
-			plat.Bus.ReseedContention(busSched.Seed(i))
-			if _, err := rt.Reboot(seed); err != nil {
-				return shard{}, err
-			}
-			plat.Bus.ReseedContention(busSched.Seed(i))
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			if err := spaceapp.ApplyControlInput(plat.Mem, rt.Image(), in); err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := rt.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{seed: seed, res: res, events: capture.Take()}, nil
-		}, nil
-	})
+		plat.Bus.ReseedContention(busSched.Seed(i))
+	}
+	return cfg.runSeries(name, wl)
 }
 
 // RunProcessing measures the image-processing task under DSR with scenes
@@ -675,42 +515,13 @@ func RunDSRWithContention(cfg Config, cont bus.Contention, name string) (*Series
 // lit, litFrac=1) upper-bound the path dimension the way EPC
 // (Ziccardi et al., RTSS'15) would.
 func RunProcessing(cfg Config, litFrac float64, name string) (*Series, error) {
-	sched := cfg.schedule()
-	return cfg.runSeries(name, func(w int) (worker, error) {
-		p, err := spaceapp.BuildProcessing()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
-		rt, err := core.NewRuntime(p, plat, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		capture := cfg.newCapture()
-		rt.SetEventLog(capture)
-		wt := cfg.trace(w)
-		rt.SetTracer(wt)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			if _, err := rt.Reboot(seed); err != nil {
-				return shard{}, err
-			}
-			scene := spaceapp.GenScene(cfg.InputSeedBase+uint64(i), litFrac)
-			if err := spaceapp.ApplyScene(plat.Mem, rt.Image(), scene); err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := rt.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if want := spaceapp.ProcessingReference(scene).RMSBits; res.ExitValue != want {
-				return shard{}, fmt.Errorf("experiments: processing mismatch: %#x vs %#x", res.ExitValue, want)
-			}
-			return shard{seed: seed, res: res, events: capture.Take()}, nil
-		}, nil
+	return cfg.runSeries(name, workload.Workload{
+		Build:       spaceapp.BuildProcessing,
+		Platform:    platform.ProximaLEON3(),
+		Layout:      workload.DSR,
+		Seed:        cfg.schedule().Seed,
+		Input:       workload.SceneInput,
+		LitFraction: litFrac,
 	})
 }
 
@@ -740,43 +551,9 @@ func ControlLayoutWeights(p *prog.Program) layout.Weights {
 // layout, offers no representativeness argument and must be re-derived
 // at every integration.
 func RunPositioned(cfg Config) (*Series, error) {
-	return cfg.runSeries("Positioned", func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		pl, err := layout.Optimize(p, plat.Cfg.L2, ControlLayoutWeights(p), loader.DefaultSequentialConfig())
-		if err != nil {
-			return nil, err
-		}
-		img, err := loader.BuildImage(p, pl)
-		if err != nil {
-			return nil, err
-		}
-		cfg.instrument(plat)
-		plat.LoadImage(img)
-		snap := plat.Snapshot()
-		wt := cfg.trace(w)
-		return func(i int) (shard, error) {
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			boot := wt.Begin(telemetry.SpanBoot, -1)
-			plat.Restore(snap)
-			err := spaceapp.ApplyControlInput(plat.Mem, img, in)
-			wt.End(boot)
-			if err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := plat.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{res: res}, nil
-		}, nil
-	})
+	wl := controlTask(workload.FixedImage)
+	wl.Place = func(p *prog.Program, l2 cache.Config) (loader.Placement, error) {
+		return layout.Optimize(p, l2, ControlLayoutWeights(p), loader.DefaultSequentialConfig())
+	}
+	return cfg.runSeries("Positioned", wl)
 }

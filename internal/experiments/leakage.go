@@ -9,10 +9,9 @@ import (
 	"dsr/internal/attack"
 	"dsr/internal/campaign"
 	"dsr/internal/core"
-	"dsr/internal/loader"
 	"dsr/internal/mem"
-	"dsr/internal/platform"
 	"dsr/internal/spaceapp"
+	"dsr/internal/workload"
 )
 
 // E8 — side-channel leakage vs timing analysability. One campaign per
@@ -124,6 +123,7 @@ type leakShard struct {
 // Like every campaign, the output is byte-identical at any worker
 // count: each worker owns a private platform with its own probe, and
 // every run's observation is a pure function of (layout seed, input).
+// Config.Interrupt and Config.Tracer apply as in every series.
 func RunLeak(cfg Config, mode wcet.Mode) (*LeakSeries, error) {
 	p, err := spaceapp.BuildControl()
 	if err != nil {
@@ -150,73 +150,41 @@ func RunLeak(cfg Config, mode wcet.Mode) (*LeakSeries, error) {
 		Obs:    make([]attack.Observation, cfg.Runs),
 		Cycles: make([]float64, cfg.Runs),
 	}
-	sched := cfg.schedule()
-
-	newWorker := func(w int) (campaign.RunFunc[leakShard], error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		if mode == wcet.ModeDet {
-			img, err := loader.Load(p, loader.DefaultSequentialConfig())
-			if err != nil {
-				return nil, err
-			}
-			plat.LoadImage(img)
-			probe := attack.Attach(plat)
-			return func(i int) (leakShard, error) {
-				plat.Reload()
-				in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-				if err := spaceapp.ApplyControlInput(plat.Mem, img, in); err != nil {
-					return leakShard{}, err
-				}
-				probe.Reset()
-				res, err := plat.Run()
-				if err != nil {
-					return leakShard{}, err
-				}
-				if err := verify(res, in); err != nil {
-					return leakShard{}, err
-				}
-				return leakShard{obs: probe.Snapshot(res.Cycles), cycles: uoaCycles(res)}, nil
-			}, nil
-		}
-		opts := core.Options{}
+	wl := controlTask(workload.FixedImage)
+	wl.InputBase = cfg.InputSeedBase
+	wl.Tracer = cfg.Tracer
+	if mode != wcet.ModeDet {
+		sched := cfg.schedule()
+		wl.Layout = workload.DSR
+		// Run i reboots into layout i mod leakLayouts.
+		wl.Seed = func(i int) uint64 { return sched.Seed(i % leakLayouts) }
 		if mode == wcet.ModeDSRLazy {
-			opts.Mode = core.Lazy
+			wl.Options = func() core.Options { return core.Options{Mode: core.Lazy} }
 		}
-		rt, err := core.NewRuntime(p, plat, opts)
+	}
+	newWorker := func(w int) (campaign.RunFunc[leakShard], error) {
+		h, err := wl.Host(w)
 		if err != nil {
 			return nil, err
 		}
-		probe := attack.Attach(plat)
+		probe := attack.Attach(h.Platform())
 		return func(i int) (leakShard, error) {
-			seed := sched.Seed(i % leakLayouts)
-			if _, err := rt.Reboot(seed); err != nil {
+			if err := h.Activate(uint64(i)); err != nil {
 				return leakShard{}, err
 			}
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			if err := spaceapp.ApplyControlInput(plat.Mem, rt.Image(), in); err != nil {
-				return leakShard{}, err
-			}
-			// Eager relocation ran inside Reboot, before the observed
-			// window; Reset drops its events. Lazy relocates inside Run
-			// and is charged to the trace channel by the analyzer.
+			// Eager relocation ran inside the reboot, before the observed
+			// window; Reset drops its events. Lazy relocates inside the
+			// run and is charged to the trace channel by the analyzer.
 			probe.Reset()
-			res, err := rt.Run()
+			res, err := h.Run()
 			if err != nil {
 				return leakShard{}, err
 			}
-			if err := verify(res, in); err != nil {
-				return leakShard{}, err
-			}
-			return leakShard{seed: seed, obs: probe.Snapshot(res.Cycles), cycles: uoaCycles(res)}, nil
+			return leakShard{seed: h.Seed(), obs: probe.Snapshot(res.Cycles), cycles: uoaCycles(res)}, nil
 		}, nil
 	}
 
-	ecfg := campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers}
-	err = campaign.Execute(ecfg, newWorker, func(i int, sh leakShard) error {
+	err = campaign.Execute(cfg.engine(), newWorker, func(i int, sh leakShard) error {
 		s.Seeds[i] = sh.seed
 		s.Obs[i] = sh.obs
 		s.Cycles[i] = sh.cycles

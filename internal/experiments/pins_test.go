@@ -22,7 +22,7 @@ import (
 // Regenerate (only when the timing model itself is deliberately
 // changed) with:
 //
-//	go test ./internal/experiments -run TestCampaignPins -update-pins
+//	go test ./internal/experiments -run TestPinnedCampaigns -update-pins
 
 var updatePins = flag.Bool("update-pins", false,
 	"rewrite testdata/campaign_pins.json from the current binary")
@@ -103,9 +103,9 @@ func captureCampaignPins(t *testing.T) campaignPins {
 	return pins
 }
 
-// TestCampaignPins compares RunLeak (det, dsr-eager, dsr-lazy) and
+// TestPinnedCampaigns compares RunLeak (det, dsr-eager, dsr-lazy) and
 // RunE9Cell (all four cells) against the recorded pins.
-func TestCampaignPins(t *testing.T) {
+func TestPinnedCampaigns(t *testing.T) {
 	got := captureCampaignPins(t)
 	if *updatePins {
 		data, err := json.MarshalIndent(got, "", "  ")

@@ -4,9 +4,9 @@
 // clearing and reloading memory. The memory side is dirty-page tracked
 // (cpu.MemSnapshot), so a fork costs work proportional to what the
 // previous run actually wrote — not to the resident set — and performs
-// zero heap allocation in steady state. Fixed-layout campaign series
-// (baseline, hardware-randomised, positioned) run through forks; the DSR
-// series necessarily rebuilds its image per run (the layout is the
+// zero heap allocation in steady state. Every fixed-image campaign (the
+// FixedImage layout policy of internal/workload) runs through forks; the
+// DSR series necessarily rebuilds its image per run (the layout is the
 // randomised quantity) but shares the same journalled memory, so its
 // reboots stopped churning the allocator too.
 package platform

@@ -7,12 +7,13 @@ import (
 
 	"dsr/internal/asm"
 	"dsr/internal/campaign"
-	"dsr/internal/core"
 	"dsr/internal/mbpta"
 	"dsr/internal/mem"
 	"dsr/internal/platform"
+	"dsr/internal/prog"
 	"dsr/internal/rvs"
 	"dsr/internal/telemetry"
+	"dsr/internal/workload"
 )
 
 // Point is one merged campaign run — the unit the service checkpoints
@@ -145,40 +146,35 @@ func Run(spec Spec, resume []Point, h Hooks) (*Outcome, error) {
 		record(pt)
 	}
 
-	sched := campaign.NewSchedule(spec.Seed)
+	// Worker-private program, platform and DSR runtime; the job has no
+	// input vector and no golden model to check against.
+	wl := workload.Workload{
+		Build:       func() (*prog.Program, error) { return asm.Assemble(spec.Source) },
+		Platform:    platform.ProximaLEON3(),
+		Layout:      workload.DSR,
+		Seed:        campaign.NewSchedule(spec.Seed).Seed,
+		Attribution: spec.Attribution,
+		Tracer:      h.Tracer,
+	}
 	err = campaign.Execute(
 		campaign.Config{
 			Runs: spec.Runs, First: len(resume), Workers: spec.Workers,
 			Interrupt: h.Interrupt, Tracer: h.Tracer,
 		},
 		func(w int) (campaign.RunFunc[Point], error) {
-			// Worker-private program, platform and DSR runtime.
-			wp, err := asm.Assemble(spec.Source)
+			wh, err := wl.Host(w)
 			if err != nil {
 				return nil, err
 			}
-			wplat := platform.New(platform.ProximaLEON3())
-			if spec.Attribution {
-				wplat.EnableAttribution()
-			}
-			wrt, err := core.NewRuntime(wp, wplat, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			wt := h.Tracer.Worker(w)
-			wrt.SetTracer(wt)
 			return func(i int) (Point, error) {
-				seed := sched.Seed(i)
-				if _, err := wrt.Reboot(seed); err != nil {
+				if err := wh.Activate(uint64(i)); err != nil {
 					return Point{}, err
 				}
-				exec := wt.Begin(telemetry.SpanExecute, -1)
-				res, err := wrt.Run()
-				wt.End(exec)
+				res, err := wh.Run()
 				if err != nil {
 					return Point{}, err
 				}
-				pt := Point{Index: i, Seed: seed, Cycles: res.Cycles, Attr: res.Attribution}
+				pt := Point{Index: i, Seed: wh.Seed(), Cycles: res.Cycles, Attr: res.Attribution}
 				if ds := rvs.Durations(res.Trace, 1, 2); len(ds) > 0 {
 					pt.UoA = float64(ds[0])
 				}

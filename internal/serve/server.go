@@ -583,9 +583,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone
 }
 
+// maxSubmitBytes bounds a POST /jobs body. A spec is a small JSON
+// document around the program source, so 1 MiB admits any realistic
+// program; a larger body is refused with 413 before it is decoded.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
 	var spec Spec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds the %d-byte submit limit", maxSubmitBytes),
+				http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

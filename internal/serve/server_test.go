@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -108,5 +111,44 @@ func TestCampaignServeResubmitFreshViewAndCursor(t *testing.T) {
 	}
 	if len(snap.Finished) != 0 {
 		t.Fatalf("re-enqueued job's SSE view carries %d stale series summaries", len(snap.Finished))
+	}
+}
+
+// TestServeSubmitBodyLimit: a submit body of exactly maxSubmitBytes is
+// decoded and accepted; one byte more is refused with 413 naming the
+// limit. The padding sits inside the JSON object, so the over-limit
+// spec cannot be complete before the limit.
+func TestServeSubmitBodyLimit(t *testing.T) {
+	s, ts, _ := startServer(t, t.TempDir(), Config{Executors: 1})
+	defer ts.Close()
+	defer s.Stop()
+
+	body := func(id string, size int) string {
+		spec, err := json.Marshal(testSpec(t, id, 40, 1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := strings.TrimSuffix(string(spec), "}")
+		return head + strings.Repeat(" ", size-len(head)-1) + "}"
+	}
+	post := func(b string) (int, string) {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+
+	if code, msg := post(body("at-limit", maxSubmitBytes)); code != http.StatusAccepted {
+		t.Fatalf("body of exactly %d bytes: status %d (%s), want %d", maxSubmitBytes, code, msg, http.StatusAccepted)
+	}
+	code, msg := post(body("over-limit", maxSubmitBytes+1))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes: status %d (%s), want %d", maxSubmitBytes+1, code, msg, http.StatusRequestEntityTooLarge)
+	}
+	if want := fmt.Sprintf("%d-byte", maxSubmitBytes); !strings.Contains(msg, want) {
+		t.Errorf("413 body %q does not name the %s limit", msg, want)
 	}
 }
