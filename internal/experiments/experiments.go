@@ -137,18 +137,6 @@ func (s *Series) MinMeanMax() (min, mean, max float64) {
 	return stats.Min(s.Cycles), stats.Mean(s.Cycles), stats.Max(s.Cycles)
 }
 
-// workload completes a series recipe with the campaign's input seeds
-// and observability settings: cycle attribution, span tracing, and
-// runtime-event capture whenever the merge replays events into the
-// telemetry campaign.
-func (cfg *Config) workload(wl workload.Workload) *workload.Workload {
-	wl.InputBase = cfg.InputSeedBase
-	wl.Attribution = cfg.Attribution
-	wl.Capture = cfg.Telemetry != nil
-	wl.Tracer = cfg.Tracer
-	return &wl
-}
-
 // engine returns the campaign engine configuration of a series.
 func (cfg *Config) engine() campaign.Config {
 	return campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Tracer: cfg.Tracer, Interrupt: cfg.Interrupt}
@@ -203,8 +191,11 @@ type shard struct {
 // events first (exactly where the sequential loop would have emitted
 // them live, at the pre-run campaign-clock position), then the run
 // record itself.
-func (cfg Config) runSeries(name string, recipe workload.Workload) (*Series, error) {
-	wl := cfg.workload(recipe)
+func (cfg Config) runSeries(name string, wl workload.Workload) (*Series, error) {
+	wl.InputBase = cfg.InputSeedBase
+	wl.Attribution = cfg.Attribution
+	wl.Capture = cfg.Telemetry != nil // only the merge below replays events
+	wl.Tracer = cfg.Tracer
 	s := &Series{
 		Name:    name,
 		Cycles:  make([]float64, cfg.Runs),

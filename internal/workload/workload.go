@@ -117,7 +117,8 @@ type host struct {
 }
 
 // Host builds worker w's host: program, platform, layout and, for a
-// fixed image, the booted snapshot every run forks from.
+// fixed image, the booted snapshot every run forks from. Hosts share
+// wl, so it must not change while they run.
 func (wl *Workload) Host(w int) (*host, error) {
 	p, err := wl.Build()
 	if err != nil {
