@@ -95,19 +95,11 @@ func main() {
 		return
 	}
 
-	plat := platform.New(platform.ProximaLEON3())
-	if *telem {
-		plat.EnableAttribution()
-	}
-	rt, err := core.NewRuntime(p, plat, core.Options{})
-	die(err)
-
 	// Verify the DSR transformation before measuring anything: a
 	// malformed rewrite would corrupt the campaign silently.
-	verify := analysis.VerifyTransform(p, rt.Program(), analysis.TransformInfo{
-		FTableSym: core.FTableSym, OffsetsSym: core.OffsetsSym,
-		Funcs: rt.Metadata().Funcs,
-	})
+	tp, meta, _, err := core.Transform(p)
+	die(err)
+	verify := analysis.VerifyTransform(p, tp, meta.TransformInfo())
 	if analysis.HasErrors(verify) {
 		for _, d := range analysis.Errors(verify) {
 			fmt.Fprintln(os.Stderr, "dsrrun:", d)

@@ -10,69 +10,84 @@ import (
 	"math"
 
 	"dsr"
+	"dsr/internal/analysis/schedfeas"
 	"dsr/internal/core"
+	"dsr/internal/experiments"
 	"dsr/internal/platform"
 	"dsr/internal/rtos"
 	"dsr/internal/sched"
 	"dsr/internal/spaceapp"
+	"dsr/internal/workload"
 )
 
 func main() {
-	// --- Part 1: the hosted system under the partition scheduler -----
+	// --- Part 1: the hosted system under the partition executive -----
 	fmt.Println("== Part 1: two partitions under the cyclic executive ==")
 
-	// Processing partition (low criticality, 100 ms period).
-	procProg, err := spaceapp.BuildProcessing()
-	check(err)
-	procPlat := platform.New(platform.ProximaLEON3())
-	procImg, err := dsr.LoadSequential(procProg)
-	check(err)
-	procPlat.LoadImage(procImg)
-	scene := spaceapp.GenScene(1, spaceapp.LitFraction)
-	check(spaceapp.ApplyScene(procPlat.Mem, procImg, scene))
-
-	// Control partition (high criticality, 1 s period) under DSR.
-	ctrlProg, err := spaceapp.BuildControl()
-	check(err)
-	ctrlPlat := platform.New(platform.ProximaLEON3())
-	rt, err := core.NewRuntime(ctrlProg, ctrlPlat, core.Options{})
-	check(err)
-
-	proc := &rtos.Partition{
-		Name:         "processing",
-		Criticality:  rtos.LowCriticality,
-		Runner:       rtos.NewImageRunner(procPlat),
-		PeriodMillis: 100,
+	// Control partition (high criticality, 1 s period) under DSR: every
+	// activation reboots with a fresh layout and a fresh input vector.
+	control := workload.Workload{
+		Build:     spaceapp.BuildControl,
+		Platform:  platform.ProximaLEON3(),
+		Layout:    workload.DSR,
+		Seed:      func(i int) uint64 { return 1 + uint64(i) },
+		Input:     workload.ControlInput,
+		InputBase: 1,
 	}
-	ctrl := &rtos.Partition{
-		Name:         "control",
-		Criticality:  rtos.HighCriticality,
-		Runner:       rtos.NewDSRRunner(rt, 1),
-		PeriodMillis: 1000,
+	// Processing partition (low criticality, 100 ms period): a fixed
+	// image forked per activation, with a fresh scene each time.
+	processing := workload.Workload{
+		Build:       spaceapp.BuildProcessing,
+		Platform:    platform.ProximaLEON3(),
+		Input:       workload.SceneInput,
+		InputBase:   1,
+		LitFraction: spaceapp.LitFraction,
 	}
-	executive, err := rtos.NewScheduler(rtos.DefaultConfig(), []rtos.Window{
-		{Partition: proc, OffsetMillis: 0, BudgetMillis: 60},
-		{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 200},
-	})
+	ctrlHost, err := control.Host(0)
+	check(err)
+	procHost, err := processing.Host(0)
 	check(err)
 
-	acts, err := executive.RunMajorFrames(3)
+	// The case-study frame certified under the deterministic policy:
+	// every frame draws the nominal schedule, i.e. the cyclic executive.
+	static := schedfeas.Analyze(experiments.CaseStudySchedSpec(), experiments.CaseStudySchedPolicy(false), schedfeas.Config{})
+	if static.Cert == nil {
+		log.Fatalf("case-study frame not certifiable: %v", static.Violations)
+	}
+	executive, err := rtos.NewRandomizedExecutive(rtos.DefaultConfig(), []*rtos.Partition{
+		{Name: "control", Criticality: rtos.HighCriticality, Runner: ctrlHost, PeriodMillis: 1000},
+		{Name: "processing", Criticality: rtos.LowCriticality, Runner: procHost, PeriodMillis: 100},
+	}, static.Cert, 1)
 	check(err)
+
+	// Each host checks every completed window against the golden model
+	// and fails the frame on a mismatch. An overrun would mean a
+	// partition exceeded the WCET its window was certified for.
+	acts, err := executive.RunMajorFrames(2)
+	check(err)
+	var procMax float64
 	for _, a := range acts {
-		status := "completed"
 		if a.Overrun() {
-			status = "OVERRUN (cut by temporal isolation)"
+			log.Fatalf("frame %d: %s overran its %d-cycle window", a.MajorFrame, a.Partition, a.Budget)
 		}
-		fmt.Printf("  frame %d  %-11s (%s crit)  %8d cycles / budget %8d  %s\n",
-			a.MajorFrame, a.Partition, a.Criticality, a.Cycles, a.Budget, status)
+		fmt.Printf("  frame %d  %3dms  %-11s (%s crit)  %8d cycles / budget %8d  completed, golden ok\n",
+			a.MajorFrame, a.OffsetMillis, a.Partition, a.Criticality, a.Cycles, a.Budget)
+		if a.Partition == "processing" {
+			procMax = math.Max(procMax, float64(a.Cycles))
+		}
 	}
-	ref := spaceapp.ProcessingReference(scene)
-	fmt.Printf("  processing: %d/%d lenses lit, RMS wavefront error %.4f px\n\n",
+	ref := spaceapp.ProcessingReference(spaceapp.GenScene(processing.InputBase, spaceapp.LitFraction))
+	fmt.Printf("  processing activation 0: %d/%d lenses lit, RMS wavefront error %.4f px\n\n",
 		ref.Lit, spaceapp.NumLenses, math.Float32frombits(ref.RMSBits))
 
 	// --- Part 2: the control task's timing analysis ------------------
 	fmt.Println("== Part 2: MBPTA of the control task (the unit of analysis) ==")
 	const runs = 1000
+	ctrlProg, err := spaceapp.BuildControl()
+	check(err)
+	ctrlPlat := platform.New(platform.ProximaLEON3())
+	rt, err := core.NewRuntime(ctrlProg, ctrlPlat, core.Options{})
+	check(err)
 	fmt.Printf("  collecting %d DSR measurement runs (reboot + fresh input each)...\n", runs)
 	var times []float64
 	for i := 0; i < runs; i++ {
@@ -97,7 +112,7 @@ func main() {
 
 	// --- Part 3: the other half of timing V&V — scheduling analysis ---
 	fmt.Println("\n== Part 3: scheduling analysis with the derived bounds ==")
-	procWCET := float64(acts[0].Cycles) * 1.2 // processing: MOET + 20% (low crit)
+	procWCET := procMax * 1.2 // processing: MOET of Part 1's windows + 20% (low crit)
 	tasks := []sched.Task{
 		{Name: "control (pWCET)", PeriodMillis: 1000, WCETCycles: rep.PWCET, WindowBudgetMillis: 30},
 		{Name: "processing (MOET+20%)", PeriodMillis: 100, WCETCycles: procWCET, WindowBudgetMillis: 60},

@@ -203,7 +203,7 @@ func (r *Report) Format() string {
 // diagnostics.
 func Analyze(p *prog.Program, cfg Config) *Report {
 	m, wrep := wcet.BuildModel(p, cfg.wcetConfig())
-	fillEntropyDefaults(&cfg, wrep)
+	fillEntropyDefaults(&cfg)
 	return analyzeModel(m, wrep, &cfg)
 }
 
@@ -217,7 +217,7 @@ func AnalyzeMode(p *prog.Program, mode wcet.Mode, base Config) (*Report, error) 
 	if err != nil {
 		return nil, fmt.Errorf("leak: %w", err)
 	}
-	fillEntropyDefaults(&base, wrep)
+	fillEntropyDefaults(&base)
 	return analyzeModel(m, wrep, &base), nil
 }
 
@@ -235,7 +235,7 @@ func (cfg *Config) wcetConfig() wcet.Config {
 
 // fillEntropyDefaults mirrors core.Options.fillDefaults so the entropy
 // accounting describes the runtime that actually executes.
-func fillEntropyDefaults(cfg *Config, wrep *wcet.Report) {
+func fillEntropyDefaults(cfg *Config) {
 	if cfg.Platform == nil {
 		def := platform.ProximaLEON3()
 		cfg.Platform = &def
@@ -252,7 +252,6 @@ func fillEntropyDefaults(cfg *Config, wrep *wcet.Report) {
 	if cfg.Budgets == nil {
 		cfg.Budgets = []int{1, 10, 100, 1000}
 	}
-	_ = wrep
 }
 
 // analyzeModel derives every bound from the front-end model.
@@ -401,7 +400,7 @@ func (a *lkAnalyzer) channel(name string, sc *setCounter, ccfg cache.Config) Cha
 	if a.det() && ccfg.Placement == cache.PlacementModulo {
 		ch.AccessBits = env
 	} else {
-		ch.AccessBits = multisetBits(sc.totalLines(), int(sc.dom.NSets), sc.dom.NWays)
+		ch.AccessBits = multisetBits(sc.totalLines(), int(sc.Dom.NSets), sc.Dom.NWays)
 	}
 	return ch
 }
@@ -418,14 +417,14 @@ func (a *lkAnalyzer) codeFootprint(il1c, dl1c, l2c *setCounter) {
 		fm := a.m.Funcs[name]
 		size := int64(fm.Fn.SizeBytes())
 		if a.det() {
-			il1c.addRange(fm.Base, fm.Base+mem.Addr(size)-1)
-			l2c.addRange(fm.Base, fm.Base+mem.Addr(size)-1)
+			il1c.AddRange(fm.Base, fm.Base+mem.Addr(size)-1)
+			l2c.AddRange(fm.Base, fm.Base+mem.Addr(size)-1)
 			continue
 		}
-		il1c.addRelative(lineSpan(size, a.m.IL1.LineSz))
-		l2c.addRelative(lineSpan(size, a.l2dom.LineSz))
+		il1c.AddRelative(cachedom.LineSpan(size, a.m.IL1.LineSz))
+		l2c.AddRelative(cachedom.LineSpan(size, a.l2dom.LineSz))
 		if lazy {
-			dl1c.addRelative(lineSpan(size, a.m.DL1.LineSz))
+			dl1c.AddRelative(cachedom.LineSpan(size, a.m.DL1.LineSz))
 		}
 	}
 }
@@ -482,10 +481,10 @@ func (a *lkAnalyzer) dataFootprint(dl1c, l2c *setCounter) {
 					}
 					lo, hi := mem.Addr(acc.Lo), mem.Addr(acc.Hi+int64(acc.Size)-1)
 					if installD {
-						dl1c.addRange(lo, hi)
+						dl1c.AddRange(lo, hi)
 					}
 					if installL2 {
-						l2c.addRange(lo, hi)
+						l2c.AddRange(lo, hi)
 					}
 				default:
 					obj := a.m.Prog.DataObject(acc.Sym)
@@ -499,18 +498,18 @@ func (a *lkAnalyzer) dataFootprint(dl1c, l2c *setCounter) {
 						lo := base + mem.Addr(acc.Lo)
 						hi := base + mem.Addr(acc.Hi) + mem.Addr(acc.Size) - 1
 						if installD {
-							dl1c.addRange(lo, hi)
+							dl1c.AddRange(lo, hi)
 						}
 						if installL2 {
-							l2c.addRange(lo, hi)
+							l2c.AddRange(lo, hi)
 						}
 					} else if !seenObj[acc.Sym] {
 						seenObj[acc.Sym] = true
 						if installD {
-							dl1c.addRelative(lineSpan(int64(obj.Size), a.m.DL1.LineSz))
+							dl1c.AddRelative(cachedom.LineSpan(int64(obj.Size), a.m.DL1.LineSz))
 						}
 						if installL2 {
-							l2c.addRelative(lineSpan(int64(obj.Size), a.l2dom.LineSz))
+							l2c.AddRelative(cachedom.LineSpan(int64(obj.Size), a.l2dom.LineSz))
 						}
 					}
 				}
@@ -521,8 +520,8 @@ func (a *lkAnalyzer) dataFootprint(dl1c, l2c *setCounter) {
 	if stackTouched && a.m.Stack != nil && a.m.Stack.MaxStackBytes > 0 {
 		top := mem.Addr(pf.StackTop)
 		lo := top - mem.Addr(a.m.Stack.MaxStackBytes)
-		dl1c.addRange(lo, top-1)
-		l2c.addRange(lo, top-1)
+		dl1c.AddRange(lo, top-1)
+		l2c.AddRange(lo, top-1)
 	}
 }
 
@@ -536,12 +535,12 @@ func (a *lkAnalyzer) pageTableFootprint(l2c *setCounter) {
 	if a.det() {
 		for _, page := range a.detPages() {
 			for _, w := range walkAddrs(pf.PageTableBase, page) {
-				l2c.addRange(w, w+mem.WordSize-1)
+				l2c.AddRange(w, w+mem.WordSize-1)
 			}
 		}
 		return
 	}
-	l2c.addRelative(maxWalkReads(pf) * (a.wrep.ITLBPages + a.wrep.DTLBPages))
+	l2c.AddRelative(maxWalkReads(pf) * (a.wrep.ITLBPages + a.wrep.DTLBPages))
 }
 
 // detPages enumerates the page numbers of the code span, the data

@@ -86,8 +86,8 @@ func TestSetCounterVectorBits(t *testing.T) {
 	dom := newTestDom(t)
 	sc := newSetCounter(dom)
 	// Two distinct lines in one set: occupancy in [0,2] -> log2(3).
-	sc.addRange(0, 31)
-	sc.addRange(128*32, 128*32+31)
+	sc.AddRange(0, 31)
+	sc.AddRange(128*32, 128*32+31)
 	want := math.Log2(3)
 	if got := sc.vectorBits(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("vectorBits = %f; want %f", got, want)

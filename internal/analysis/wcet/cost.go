@@ -226,74 +226,9 @@ func (a *analyzer) satMul(n int, x mem.Cycles) mem.Cycles {
 }
 
 // ---------------------------------------------------------------------
-// Cache footprints and loop persistence.
-
-// footprint accumulates a region's per-set cache working set, split into
-// exactly-placed lines (deterministic layout) and relatively-counted
-// lines (objects whose base is unknown but 8-byte aligned: stack frames
-// in every mode, all objects under DSR). k consecutive lines fall into
-// k consecutive sets, so an unknown-base object of k lines adds at most
-// ceil(k/sets) lines to every set.
-type footprint struct {
-	dom      *cachedom.Dom
-	exact    []map[mem.Addr]bool
-	rel      []int
-	relLines int
-}
-
-func newFootprint(dom *cachedom.Dom) *footprint {
-	return &footprint{dom: dom, exact: make([]map[mem.Addr]bool, dom.NSets), rel: make([]int, dom.NSets)}
-}
-
-// addRange adds the concretely-placed lines covering [lo, hi] (byte
-// addresses, inclusive).
-func (fp *footprint) addRange(lo, hi mem.Addr) {
-	for l := fp.dom.LineOf(lo); l <= fp.dom.LineOf(hi); l++ {
-		s := fp.dom.SetOf(l)
-		if fp.exact[s] == nil {
-			fp.exact[s] = map[mem.Addr]bool{}
-		}
-		fp.exact[s][l] = true
-	}
-}
-
-// addRelative adds an unknown-base object spanning at most k lines.
-func (fp *footprint) addRelative(k int) {
-	per := (k + int(fp.dom.NSets) - 1) / int(fp.dom.NSets)
-	for s := range fp.rel {
-		fp.rel[s] += per
-	}
-	fp.relLines += k
-}
-
-// fits reports whether every set's footprint is within the cache's
-// associativity, and lines returns the total distinct-line count (the
-// one-time miss charge).
-func (fp *footprint) fits() bool {
-	for s := range fp.rel {
-		if len(fp.exact[s])+fp.rel[s] > fp.dom.NWays {
-			return false
-		}
-	}
-	return true
-}
-
-func (fp *footprint) lines() int {
-	n := fp.relLines
-	for s := range fp.exact {
-		n += len(fp.exact[s])
-	}
-	return n
-}
-
-// relLineSpan bounds the distinct cache lines an unknown-base (8-byte
-// aligned) object of size bytes can span.
-func relLineSpan(size int64, lineSz mem.Addr) int {
-	if size <= 0 {
-		return 1
-	}
-	return int((size-1)/int64(lineSz)) + 2
-}
+// Cache footprints and loop persistence. A region's instruction and
+// data working sets are each a cachedom.Footprint; a cache's lines
+// persist across the loop when its footprint fits.
 
 type fitKey struct {
 	fn string
@@ -314,15 +249,15 @@ func (a *analyzer) regionFit(fi *fnInfo, li int) fitRes {
 	}
 	var r fitRes
 	if a.hotIOK {
-		fpI := newFootprint(a.il1)
+		fpI := cachedom.NewFootprint(a.il1)
 		if a.regionIFoot(fi, li, fpI, map[string]bool{}) {
-			r.fitI, r.linesI = fpI.fits(), fpI.lines()
+			r.fitI, r.linesI = fpI.Fits(), fpI.Lines()
 		}
 	}
 	if a.hotDOK {
-		fpD := newFootprint(a.dl1)
+		fpD := cachedom.NewFootprint(a.dl1)
 		if a.regionDFoot(fi, li, fpD, map[string]bool{}) {
-			r.fitD, r.linesD = fpD.fits(), fpD.lines()
+			r.fitD, r.linesD = fpD.Fits(), fpD.Lines()
 		}
 	}
 	a.fit[key] = r
@@ -352,7 +287,7 @@ func regionBlocks(fi *fnInfo, li int) []int {
 // regionIFoot accumulates the instruction-cache footprint of region li:
 // the region's own code plus the whole code of every transitively
 // called function. seenFn dedupes callees.
-func (a *analyzer) regionIFoot(fi *fnInfo, li int, fp *footprint, seenFn map[string]bool) bool {
+func (a *analyzer) regionIFoot(fi *fnInfo, li int, fp *cachedom.Footprint, seenFn map[string]bool) bool {
 	blocks := regionBlocks(fi, li)
 	if len(blocks) == 0 {
 		return false
@@ -367,12 +302,12 @@ func (a *analyzer) regionIFoot(fi *fnInfo, li int, fp *footprint, seenFn map[str
 			hi = blk.End
 		}
 		if a.det() {
-			fp.addRange(fi.base+mem.Addr(blk.Start)*isa.InstrBytes,
+			fp.AddRange(fi.base+mem.Addr(blk.Start)*isa.InstrBytes,
 				fi.base+mem.Addr(blk.End)*isa.InstrBytes-1)
 		}
 	}
 	if !a.det() {
-		fp.addRelative(relLineSpan(int64(hi-lo)*int64(isa.InstrBytes), a.il1.LineSz))
+		fp.AddRelative(cachedom.LineSpan(int64(hi-lo)*int64(isa.InstrBytes), a.il1.LineSz))
 	}
 	for _, b := range blocks {
 		blk := fi.g.Blocks[b]
@@ -388,16 +323,16 @@ func (a *analyzer) regionIFoot(fi *fnInfo, li int, fp *footprint, seenFn map[str
 	return true
 }
 
-func (a *analyzer) calleeIFoot(name string, fp *footprint, seenFn map[string]bool) bool {
+func (a *analyzer) calleeIFoot(name string, fp *cachedom.Footprint, seenFn map[string]bool) bool {
 	ci, ok := a.fns[name]
 	if !ok {
 		return false
 	}
 	size := int64(len(ci.fn.Code)) * int64(isa.InstrBytes)
 	if a.det() {
-		fp.addRange(ci.base, ci.base+mem.Addr(size)-1)
+		fp.AddRange(ci.base, ci.base+mem.Addr(size)-1)
 	} else {
-		fp.addRelative(relLineSpan(size, a.il1.LineSz))
+		fp.AddRelative(cachedom.LineSpan(size, a.il1.LineSz))
 	}
 	for i := range ci.fn.Code {
 		if c := ci.callee[i]; c != "" && !seenFn[c] {
@@ -417,7 +352,7 @@ func (a *analyzer) calleeIFoot(name string, fp *footprint, seenFn map[string]boo
 // (same lines wherever they land); stack frames are counted once per
 // distinct static call chain, since each chain gives the frame a
 // different (8-aligned) base.
-func (a *analyzer) regionDFoot(fi *fnInfo, li int, fp *footprint, seenObj map[string]bool) bool {
+func (a *analyzer) regionDFoot(fi *fnInfo, li int, fp *cachedom.Footprint, seenObj map[string]bool) bool {
 	for _, b := range regionBlocks(fi, li) {
 		blk := fi.g.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
@@ -437,7 +372,7 @@ func (a *analyzer) regionDFoot(fi *fnInfo, li int, fp *footprint, seenObj map[st
 	return true
 }
 
-func (a *analyzer) calleeDFoot(name string, fp *footprint, seenObj map[string]bool) bool {
+func (a *analyzer) calleeDFoot(name string, fp *cachedom.Footprint, seenObj map[string]bool) bool {
 	ci, ok := a.fns[name]
 	if !ok {
 		return false
@@ -461,7 +396,7 @@ func (a *analyzer) calleeDFoot(name string, fp *footprint, seenObj map[string]bo
 }
 
 // accFoot adds one known data access's object to the footprint.
-func (a *analyzer) accFoot(acc dataAcc, fp *footprint, seenObj map[string]bool) bool {
+func (a *analyzer) accFoot(acc dataAcc, fp *cachedom.Footprint, seenObj map[string]bool) bool {
 	if !acc.valid {
 		return false
 	}
@@ -470,7 +405,7 @@ func (a *analyzer) accFoot(acc dataAcc, fp *footprint, seenObj map[string]bool) 
 		if acc.lo < 0 {
 			return false
 		}
-		fp.addRange(mem.Addr(acc.lo), mem.Addr(acc.hi+int64(acc.size)-1))
+		fp.AddRange(mem.Addr(acc.lo), mem.Addr(acc.hi+int64(acc.size)-1))
 	case strings.HasPrefix(acc.sym, "\x00stack:"):
 		owner := a.fns[strings.TrimPrefix(acc.sym, "\x00stack:")]
 		if owner == nil {
@@ -482,7 +417,7 @@ func (a *analyzer) accFoot(acc dataAcc, fp *footprint, seenObj map[string]bool) 
 		}
 		// One contribution per call chain — callers dedupe globals but
 		// pass every chain through here.
-		fp.addRelative(relLineSpan(frame, a.dl1.LineSz))
+		fp.AddRelative(cachedom.LineSpan(frame, a.dl1.LineSz))
 	default:
 		obj := a.p.DataObject(acc.sym)
 		if obj == nil {
@@ -493,10 +428,10 @@ func (a *analyzer) accFoot(acc dataAcc, fp *footprint, seenObj map[string]bool) 
 		}
 		if a.det() {
 			base := a.layout[acc.sym]
-			fp.addRange(base+mem.Addr(acc.lo), base+mem.Addr(acc.hi)+mem.Addr(acc.size)-1)
+			fp.AddRange(base+mem.Addr(acc.lo), base+mem.Addr(acc.hi)+mem.Addr(acc.size)-1)
 		} else if !seenObj[acc.sym] {
 			seenObj[acc.sym] = true
-			fp.addRelative(relLineSpan(int64(obj.Size), a.dl1.LineSz))
+			fp.AddRelative(cachedom.LineSpan(int64(obj.Size), a.dl1.LineSz))
 		}
 	}
 	return true
@@ -774,7 +709,7 @@ func (a *analyzer) distinctFetchLines(fi *fnInfo, start, end int) int {
 		last := a.il1.LineOf(fi.base + mem.Addr(end)*isa.InstrBytes - 1)
 		return int(last-first) + 1
 	}
-	k := relLineSpan(int64(n)*int64(isa.InstrBytes), a.il1.LineSz)
+	k := cachedom.LineSpan(int64(n)*int64(isa.InstrBytes), a.il1.LineSz)
 	if k > n {
 		k = n
 	}

@@ -36,9 +36,7 @@ func AnalyzeMode(p *prog.Program, mode Mode, base Config) (*Report, error) {
 		return nil, fmt.Errorf("wcet: DSR transform failed: %w", err)
 	}
 	base.Lines = nil
-	base.Resolve = analysis.ResolveDispatch(analysis.TransformInfo{
-		FTableSym: core.FTableSym, OffsetsSym: core.OffsetsSym, Funcs: meta.Funcs,
-	})
+	base.Resolve = analysis.ResolveDispatch(meta.TransformInfo())
 	if base.Platform == nil {
 		def := platform.ProximaLEON3()
 		base.Platform = &def

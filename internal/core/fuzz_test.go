@@ -36,9 +36,7 @@ func FuzzVerifyTransform(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info := analysis.TransformInfo{
-			FTableSym: FTableSym, OffsetsSym: OffsetsSym, Funcs: meta.Funcs,
-		}
+		info := meta.TransformInfo()
 
 		fn := tp.Functions[int(fsel)%len(tp.Functions)]
 		if len(fn.Code) == 0 {

@@ -28,6 +28,7 @@ package core
 import (
 	"fmt"
 
+	"dsr/internal/analysis"
 	"dsr/internal/isa"
 	"dsr/internal/mem"
 	"dsr/internal/prog"
@@ -56,6 +57,12 @@ type Metadata struct {
 	Funcs []string
 	// Index maps a function name to its table index.
 	Index map[string]int
+}
+
+// TransformInfo describes the transformation m belongs to for the
+// static verifier and the dispatch resolver.
+func (m *Metadata) TransformInfo() analysis.TransformInfo {
+	return analysis.TransformInfo{FTableSym: FTableSym, OffsetsSym: OffsetsSym, Funcs: m.Funcs}
 }
 
 // PassStats summarises the code-size cost of the transformation; the

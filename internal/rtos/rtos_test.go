@@ -1,13 +1,14 @@
 package rtos
 
 import (
+	"reflect"
 	"testing"
 
-	"dsr/internal/core"
+	"dsr/internal/analysis/schedfeas"
 	"dsr/internal/isa"
-	"dsr/internal/loader"
 	"dsr/internal/platform"
 	"dsr/internal/prog"
+	"dsr/internal/workload"
 )
 
 // loopProgram spins for roughly `iters` loop iterations then halts,
@@ -30,77 +31,117 @@ func loopProgram(t *testing.T, name string, iters int32) *prog.Program {
 	return p
 }
 
-func imagePartition(t *testing.T, name string, iters int32, crit Criticality) (*Partition, *platform.Platform) {
+// hostPartition hosts wl's worker-0 host, on the case study's
+// platform, in a partition.
+func hostPartition(t *testing.T, name string, crit Criticality, wl *workload.Workload) *Partition {
 	t.Helper()
-	img, err := loader.Load(loopProgram(t, name, iters), loader.DefaultSequentialConfig())
+	wl.Platform = platform.ProximaLEON3()
+	h, err := wl.Host(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := platform.New(platform.ProximaLEON3())
-	plat.LoadImage(img)
-	return &Partition{
-		Name:        name,
-		Criticality: crit,
-		Runner:      NewImageRunner(plat),
-	}, plat
+	return &Partition{Name: name, Criticality: crit, Runner: h}
+}
+
+// imagePartition hosts p as a fixed image with no input: every
+// activation forks the booted image.
+func imagePartition(t *testing.T, name string, p *prog.Program, crit Criticality) *Partition {
+	t.Helper()
+	return hostPartition(t, name, crit, &workload.Workload{
+		Build: func() (*prog.Program, error) { return p, nil },
+	})
+}
+
+// loopPartition hosts loopProgram(iters) as a fixed image.
+func loopPartition(t *testing.T, name string, iters int32, crit Criticality) *Partition {
+	t.Helper()
+	return imagePartition(t, name, loopProgram(t, name, iters), crit)
+}
+
+// certify analyzes spec under policy and returns its certificate.
+func certify(t *testing.T, spec *schedfeas.Spec, policy schedfeas.Policy) *schedfeas.Certificate {
+	t.Helper()
+	rep := schedfeas.Analyze(spec, policy, schedfeas.Config{})
+	if rep.Cert == nil {
+		t.Fatalf("policy %v not certifiable: %v", policy, rep.Violations)
+	}
+	return rep.Cert
+}
+
+// frameSpec is a 1 s frame on the 80 MHz core hosting each task once
+// per frame.
+func frameSpec(tasks ...schedfeas.Task) *schedfeas.Spec {
+	for i := range tasks {
+		tasks[i].PeriodMillis = 1000
+	}
+	return &schedfeas.Spec{FrameMillis: 1000, CyclesPerMilli: 80_000, Tasks: tasks}
+}
+
+// cyclicExecutive builds the executive over parts with the fixed cyclic
+// schedule of spec (Policy{}); each partition takes its certified period.
+func cyclicExecutive(t *testing.T, spec *schedfeas.Spec, parts ...*Partition) *RandomizedExecutive {
+	t.Helper()
+	ex, err := NewRandomizedExecutive(DefaultConfig(), parts, certify(t, spec, schedfeas.Policy{}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex
+}
+
+// rogueSpec declares a processing task with a small WCET in a 10 ms
+// window at the frame start, and the control task at 100 ms.
+func rogueSpec() *schedfeas.Spec {
+	return frameSpec(
+		schedfeas.Task{Name: "processing", BudgetMillis: 10, WCETCycles: 1000},
+		schedfeas.Task{Name: "control", BudgetMillis: 300, PhaseMillis: 100, Criticality: 1},
+	)
 }
 
 func TestSchedulerRunsWindowsInOrder(t *testing.T) {
-	ctrl, _ := imagePartition(t, "control", 100, HighCriticality)
-	proc, _ := imagePartition(t, "processing", 50, LowCriticality)
-	cfg := DefaultConfig()
-	sched, err := NewScheduler(cfg, []Window{
-		{Partition: proc, OffsetMillis: 0, BudgetMillis: 80},
-		{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 300},
-	})
+	ctrl := loopPartition(t, "control", 100, HighCriticality)
+	proc := loopPartition(t, "processing", 50, LowCriticality)
+	ex := cyclicExecutive(t, caseStudySpec(), ctrl, proc)
+	acts, err := ex.RunMajorFrames(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acts, err := sched.RunMajorFrames(3)
-	if err != nil {
-		t.Fatal(err)
+	if len(acts) != 3*11 {
+		t.Fatalf("activations=%d, want 33", len(acts))
 	}
-	if len(acts) != 6 {
-		t.Fatalf("activations=%d, want 6", len(acts))
-	}
+	// Nominal order per frame: processing k at k*100 ms, control at
+	// 60 ms, between processing 0 and 1.
 	for i, a := range acts {
-		wantPart := "processing"
-		if i%2 == 1 {
-			wantPart = "control"
+		frame, w := i/11, i%11
+		wantPart, wantOff, wantAct := "processing", 0, uint64(0)
+		switch {
+		case w == 1:
+			wantPart, wantOff, wantAct = "control", 60, uint64(frame)
+		case w == 0:
+			wantAct = uint64(frame * 10)
+		default:
+			wantOff, wantAct = (w-1)*100, uint64(frame*10+w-1)
 		}
-		if a.Partition != wantPart {
-			t.Errorf("activation %d partition=%s, want %s", i, a.Partition, wantPart)
+		if a.Partition != wantPart || a.OffsetMillis != wantOff || a.MajorFrame != frame || a.Window != w {
+			t.Errorf("activation %d: %s at %dms frame %d window %d, want %s at %dms frame %d window %d",
+				i, a.Partition, a.OffsetMillis, a.MajorFrame, a.Window, wantPart, wantOff, frame, w)
+		}
+		// Activation numbers advance per partition, across frames.
+		if a.Activation != wantAct {
+			t.Errorf("activation %d (%s) numbered %d, want %d", i, a.Partition, a.Activation, wantAct)
 		}
 		if !a.Completed {
 			t.Errorf("activation %d overran unexpectedly", i)
-		}
-		if a.MajorFrame != i/2 {
-			t.Errorf("activation %d frame=%d", i, a.MajorFrame)
-		}
-	}
-	// Activation counters advance per partition.
-	ctrlActs := ByPartition(acts, "control")
-	for i, a := range ctrlActs {
-		if a.Activation != uint64(i) {
-			t.Errorf("control activation %d numbered %d", i, a.Activation)
 		}
 	}
 }
 
 func TestTemporalIsolationCutsOverrun(t *testing.T) {
-	// A "malfunctioning" processing task that spins far beyond its window
-	// must be cut off, and the control task must still run.
-	ctrl, _ := imagePartition(t, "control", 100, HighCriticality)
-	rogue, _ := imagePartition(t, "processing", 100_000_000, LowCriticality)
-	cfg := DefaultConfig()
-	sched, err := NewScheduler(cfg, []Window{
-		{Partition: rogue, OffsetMillis: 0, BudgetMillis: 10},
-		{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acts, err := sched.RunMajorFrames(1)
+	// A "malfunctioning" processing task that spins far beyond the WCET
+	// it declared must be cut off, and the control task must still run.
+	ctrl := loopPartition(t, "control", 100, HighCriticality)
+	rogue := loopPartition(t, "processing", 100_000_000, LowCriticality)
+	ex := cyclicExecutive(t, rogueSpec(), ctrl, rogue)
+	acts, err := ex.RunMajorFrames(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,25 +189,14 @@ func walkProgram(t *testing.T, name string, iters int32) *prog.Program {
 	return p
 }
 
-func TestDSRRunnerRerandomisesPerActivation(t *testing.T) {
-	p := walkProgram(t, "control", 200)
-	plat := platform.New(platform.ProximaLEON3())
-	rt, err := core.NewRuntime(p, plat, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := &Partition{
-		Name:        "control",
-		Criticality: HighCriticality,
-		Runner:      NewDSRRunner(rt, 1000),
-	}
-	sched, err := NewScheduler(DefaultConfig(), []Window{
-		{Partition: part, OffsetMillis: 0, BudgetMillis: 500},
+func TestDSRHostRerandomisesPerActivation(t *testing.T) {
+	part := hostPartition(t, "control", HighCriticality, &workload.Workload{
+		Build:  func() (*prog.Program, error) { return walkProgram(t, "control", 200), nil },
+		Layout: workload.DSR,
+		Seed:   func(i int) uint64 { return 1000 + uint64(i) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acts, err := sched.RunMajorFrames(12)
+	ex := cyclicExecutive(t, frameSpec(schedfeas.Task{Name: "control", BudgetMillis: 500}), part)
+	acts, err := ex.RunMajorFrames(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,36 +212,9 @@ func TestDSRRunnerRerandomisesPerActivation(t *testing.T) {
 	}
 }
 
-func TestSchedulerValidation(t *testing.T) {
-	ctrl, _ := imagePartition(t, "control", 10, HighCriticality)
-	cases := map[string][]Window{
-		"overlap": {
-			{Partition: ctrl, OffsetMillis: 0, BudgetMillis: 200},
-			{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 100},
-		},
-		"beyond frame": {
-			{Partition: ctrl, OffsetMillis: 900, BudgetMillis: 200},
-		},
-		"zero budget": {
-			{Partition: ctrl, OffsetMillis: 0, BudgetMillis: 0},
-		},
-		"nil partition": {
-			{Partition: nil, OffsetMillis: 0, BudgetMillis: 10},
-		},
-	}
-	for name, ws := range cases {
-		if _, err := NewScheduler(DefaultConfig(), ws); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	if _, err := NewScheduler(Config{}, nil); err == nil {
-		t.Error("zero config accepted")
-	}
-}
-
-func TestImageRunnerReloadIsolatesRuns(t *testing.T) {
-	// A program that increments a global counter would drift without the
-	// reload-per-activation reboot semantics.
+func TestFixedImageHostIsolatesRuns(t *testing.T) {
+	// A program that increments a global counter would drift unless
+	// every activation forks the booted image afresh.
 	p := &prog.Program{Name: "counter", Entry: "main"}
 	if err := p.AddData(&prog.DataObject{Name: "count", Size: 4}); err != nil {
 		t.Fatal(err)
@@ -227,20 +230,9 @@ func TestImageRunnerReloadIsolatesRuns(t *testing.T) {
 	if err := p.AddFunction(b.MustBuild()); err != nil {
 		t.Fatal(err)
 	}
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := platform.New(platform.ProximaLEON3())
-	plat.LoadImage(img)
-	part := &Partition{Name: "counter", Runner: NewImageRunner(plat)}
-	sched, err := NewScheduler(DefaultConfig(), []Window{
-		{Partition: part, OffsetMillis: 0, BudgetMillis: 100},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acts, err := sched.RunMajorFrames(3)
+	part := imagePartition(t, "counter", p, LowCriticality)
+	ex := cyclicExecutive(t, frameSpec(schedfeas.Task{Name: "counter", BudgetMillis: 100}), part)
+	acts, err := ex.RunMajorFrames(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +240,167 @@ func TestImageRunnerReloadIsolatesRuns(t *testing.T) {
 		if a.Result.ExitValue != 1 {
 			t.Errorf("activation %d saw stale memory: count=%d", i, a.Result.ExitValue)
 		}
+	}
+}
+
+func TestSchedulerRejectsDuplicateNames(t *testing.T) {
+	// The executive keys partitions by name, so two distinct partitions
+	// sharing one would silently share a schedule slot.
+	a := loopPartition(t, "control", 10, HighCriticality)
+	b := loopPartition(t, "control", 10, LowCriticality)
+	spec := frameSpec(schedfeas.Task{Name: "control", BudgetMillis: 10})
+	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{a, b}, certify(t, spec, schedfeas.Policy{}), 1); err == nil {
+		t.Fatal("two distinct partitions sharing a name accepted")
+	}
+}
+
+// caseStudySpec is the paper's two-task frame (the schedfeas tests'
+// spec): control once per frame in a 30 ms window at 60 ms, processing
+// every 100 ms in a 60 ms window.
+func caseStudySpec() *schedfeas.Spec {
+	return &schedfeas.Spec{
+		FrameMillis:    1000,
+		CyclesPerMilli: 80_000,
+		Tasks: []schedfeas.Task{
+			{Name: "control", PeriodMillis: 1000, BudgetMillis: 30, PhaseMillis: 60,
+				Criticality: 1, JitterMillis: -1},
+			{Name: "processing", PeriodMillis: 100, BudgetMillis: 60, PhaseMillis: 0,
+				Criticality: 0, JitterMillis: 40},
+		},
+	}
+}
+
+// caseStudyCert certifies the case-study frame under policy.
+func caseStudyCert(t *testing.T, policy schedfeas.Policy) *schedfeas.Certificate {
+	t.Helper()
+	return certify(t, caseStudySpec(), policy)
+}
+
+func fullPolicy() schedfeas.Policy {
+	return schedfeas.Policy{SegmentChoice: true, PermuteOrder: true, SlotJitterMillis: 40}
+}
+
+func randomizedPair(t *testing.T) []*Partition {
+	t.Helper()
+	ctrl := loopPartition(t, "control", 100, HighCriticality)
+	ctrl.PeriodMillis = 1000
+	proc := loopPartition(t, "processing", 50, LowCriticality)
+	proc.PeriodMillis = 100
+	return []*Partition{ctrl, proc}
+}
+
+func TestRandomizedExecutiveRunsCertifiedFrames(t *testing.T) {
+	ex, err := NewRandomizedExecutive(DefaultConfig(), randomizedPair(t), caseStudyCert(t, fullPolicy()), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acts, err := ex.RunMajorFrames(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acts) != 5*11 {
+		t.Fatalf("activations=%d, want 55 (10 processing + 1 control per frame)", len(acts))
+	}
+	for i, a := range acts {
+		if a.Overrun() {
+			t.Fatalf("activation %d overran a certified window", i)
+		}
+	}
+	// The control window must actually move between frames — that is the
+	// whole point of the randomisation.
+	offsets := map[int]bool{}
+	for _, a := range ByPartition(acts, "control") {
+		offsets[a.OffsetMillis] = true
+	}
+	if len(offsets) < 2 {
+		t.Errorf("control offsets %v constant across 5 frames", offsets)
+	}
+	// Stateless activation numbering: processing activations are
+	// frame*10+k and appear in within-frame order.
+	for i, a := range ByPartition(acts, "processing") {
+		if a.Activation != uint64(i) {
+			t.Errorf("processing activation %d numbered %d", i, a.Activation)
+		}
+	}
+}
+
+func TestRandomizedExecutiveFramePurity(t *testing.T) {
+	ex, err := NewRandomizedExecutive(DefaultConfig(), randomizedPair(t), caseStudyCert(t, fullPolicy()), 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once, err := ex.RunFrame(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := ex.RunFrame(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(once, again) {
+		t.Fatal("RunFrame(3) is not a pure function of the frame index")
+	}
+	all, err := ex.RunMajorFrames(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(all[3*11:], once) {
+		t.Fatal("RunMajorFrames frame 3 differs from RunFrame(3)")
+	}
+}
+
+func TestRandomizedExecutiveMembership(t *testing.T) {
+	ex, err := NewRandomizedExecutive(DefaultConfig(), randomizedPair(t), caseStudyCert(t, fullPolicy()), 1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := ex.Certificate()
+	for frame := 0; frame < 100; frame++ {
+		fs, err := ex.DrawFrame(frame)
+		if err != nil {
+			t.Fatalf("frame %d: %v", frame, err)
+		}
+		if err := cert.Contains(fs); err != nil {
+			t.Fatalf("frame %d outside certified support: %v", frame, err)
+		}
+	}
+}
+
+func TestRandomizedExecutiveValidation(t *testing.T) {
+	parts := randomizedPair(t)
+	cert := caseStudyCert(t, fullPolicy())
+	if _, err := NewRandomizedExecutive(DefaultConfig(), parts, nil, 1); err == nil {
+		t.Error("nil certificate accepted")
+	}
+	if _, err := NewRandomizedExecutive(Config{}, parts, cert, 1); err == nil {
+		t.Error("zero config accepted")
+	}
+	if _, err := NewRandomizedExecutive(Config{MajorFrameMillis: 500, CyclesPerMilli: 80_000}, parts, cert, 1); err == nil {
+		t.Error("frame mismatch accepted")
+	}
+	if _, err := NewRandomizedExecutive(Config{MajorFrameMillis: 1000, CyclesPerMilli: 1}, parts, cert, 1); err == nil {
+		t.Error("clock mismatch accepted")
+	}
+	if _, err := NewRandomizedExecutive(DefaultConfig(), parts[:1], cert, 1); err == nil {
+		t.Error("missing partition accepted")
+	}
+	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], parts[0]}, cert, 1); err == nil {
+		t.Error("duplicate partition accepted")
+	}
+	ghost := loopPartition(t, "ghost", 10, LowCriticality)
+	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], ghost}, cert, 1); err == nil {
+		t.Error("unknown partition standing in for a certified task accepted")
+	}
+	wrongPeriod := randomizedPair(t)
+	wrongPeriod[1].PeriodMillis = 500
+	if _, err := NewRandomizedExecutive(DefaultConfig(), wrongPeriod, cert, 1); err == nil {
+		t.Error("period mismatch accepted")
+	}
+	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], {Name: "processing"}}, cert, 1); err == nil {
+		t.Error("runnerless partition accepted")
+	}
+	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], nil}, cert, 1); err == nil {
+		t.Error("nil partition accepted")
 	}
 }
 

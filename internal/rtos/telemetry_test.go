@@ -4,29 +4,24 @@ import (
 	"bytes"
 	"testing"
 
+	"dsr/internal/analysis/schedfeas"
 	"dsr/internal/mem"
 	"dsr/internal/telemetry"
 )
 
-// Satellite coverage for the executive's telemetry contract: rtos.window
+// Coverage for the executive's telemetry contract: rtos.window
 // spans pair begin/end per track, rtos.overrun instants land exactly at
 // the clamped window end, and the Chrome-trace export of a frame trace
 // passes the same span validation dsrstat's validate command applies.
 
 func TestSchedulerTelemetryChromeTrace(t *testing.T) {
-	ctrl, _ := imagePartition(t, "control", 100, HighCriticality)
-	rogue, _ := imagePartition(t, "processing", 100_000_000, LowCriticality)
+	ctrl := loopPartition(t, "control", 100, HighCriticality)
+	rogue := loopPartition(t, "processing", 100_000_000, LowCriticality)
 	cfg := DefaultConfig()
-	sched, err := NewScheduler(cfg, []Window{
-		{Partition: rogue, OffsetMillis: 0, BudgetMillis: 10},
-		{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := cyclicExecutive(t, rogueSpec(), ctrl, rogue)
 	log := telemetry.NewEventLog(0)
-	sched.SetEventLog(log)
-	acts, err := sched.RunMajorFrames(2)
+	ex.SetEventLog(log)
+	acts, err := ex.RunMajorFrames(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +82,11 @@ func TestSchedulerTelemetryCompletedEndsEarly(t *testing.T) {
 	// A completing partition's span must end at start+used, strictly
 	// before the window budget expires — the span length is the
 	// partition's measured execution time, not the reservation.
-	ctrl, _ := imagePartition(t, "control", 100, HighCriticality)
-	cfg := DefaultConfig()
-	sched, err := NewScheduler(cfg, []Window{
-		{Partition: ctrl, OffsetMillis: 0, BudgetMillis: 500},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := loopPartition(t, "control", 100, HighCriticality)
+	ex := cyclicExecutive(t, frameSpec(schedfeas.Task{Name: "control", BudgetMillis: 500}), ctrl)
 	log := telemetry.NewEventLog(0)
-	sched.SetEventLog(log)
-	acts, err := sched.RunMajorFrames(1)
+	ex.SetEventLog(log)
+	acts, err := ex.RunMajorFrames(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,8 @@ const (
 	// FixedPhase requires one offset per task: activation k of a task
 	// with period T starts at k*T + offset for a single offset chosen
 	// once. This is the only mode whose "packs" verdict certifies a
-	// realizable fixed-phase cyclic executive (an rtos window table),
+	// realizable fixed-phase cyclic executive (the nominal schedule of
+	// a schedfeas spec, run by the rtos executive under Policy{}),
 	// and its offsets are the det baseline a schedule randomizer
 	// perturbs.
 	FixedPhase FitMode = iota

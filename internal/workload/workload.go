@@ -161,9 +161,6 @@ func (wl *Workload) Host(w int) (*host, error) {
 	return h, nil
 }
 
-// Name implements rtos.Runner.
-func (h *host) Name() string { return h.prog.Name }
-
 // Platform is the worker's platform (attack probes attach here).
 func (h *host) Platform() *platform.Platform { return h.plat }
 
