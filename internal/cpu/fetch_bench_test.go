@@ -62,13 +62,11 @@ func proximaFronts() (icache, dcache *cache.Cache, itlb, dtlb *tlb.TLB) {
 	return il1, dl1, it, dt
 }
 
-// BenchmarkFetchLoop is the headline per-instruction cost: a tight
-// counted loop through real L1s and TLBs. instrs/s is the simulator's
-// effective instruction rate.
-func BenchmarkFetchLoop(b *testing.B) {
-	img := benchLoopProgram(b)
-	il1, dl1, it, dt := proximaFronts()
-	c := New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory())
+// benchFetchLoop times full runs of the loop on c and reports instrs/s,
+// the simulator's effective instruction rate. It fails the benchmark
+// unless the execution path the benchmark names ran: the engine fills
+// the decode cache, the interpreter never touches it.
+func benchFetchLoop(b *testing.B, c *CPU, engine bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var instrs uint64
@@ -80,26 +78,39 @@ func BenchmarkFetchLoop(b *testing.B) {
 		instrs += c.Counters().Instrs
 	}
 	b.StopTimer()
+	if ran := len(c.decCache) > 0; ran != engine {
+		b.Fatalf("threaded-code engine ran = %v, benchmark names engine = %v", ran, engine)
+	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkFetchLoopNullHierarchy isolates the core's dispatch cost:
-// same loop, zero-latency backends, no TLBs.
-func BenchmarkFetchLoopNullHierarchy(b *testing.B) {
+// BenchmarkFetchLoopEngine is the headline per-instruction cost: a
+// tight counted loop through real zero-latency L1s and TLBs, which
+// lets the threaded-code engine run.
+func BenchmarkFetchLoopEngine(b *testing.B) {
 	img := benchLoopProgram(b)
-	c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		c.Reset(stackTop)
-		if _, err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
-		instrs += c.Counters().Instrs
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	il1, dl1, it, dt := proximaFronts()
+	benchFetchLoop(b, New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory()), true)
+}
+
+// BenchmarkFetchLoopInterpreter is the same loop and hierarchy pinned
+// to the giant-switch interpreter: the engine's speedup is the ratio.
+func BenchmarkFetchLoopInterpreter(b *testing.B) {
+	img := benchLoopProgram(b)
+	il1, dl1, it, dt := proximaFronts()
+	c := New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory())
+	c.SetForceInterpreter(true)
+	benchFetchLoop(b, c, false)
+}
+
+// BenchmarkFetchLoopNullHierarchyInterpreter is the loop over
+// zero-latency backends with no caches or TLBs: the interpreter's
+// dispatch cost without hierarchy modelling. It has no engine variant:
+// the engine needs a concrete IL1 to prove fetches free, so engineOK is
+// false here.
+func BenchmarkFetchLoopNullHierarchyInterpreter(b *testing.B) {
+	img := benchLoopProgram(b)
+	benchFetchLoop(b, New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory()), false)
 }
 
 // BenchmarkChargeDisabledTelemetry pins the zero-overhead guarantee of

@@ -157,6 +157,14 @@ func Float64(src Source) float64 {
 	return float64(Uint64(src)>>11) / (1 << 53)
 }
 
+// Float64 returns the value Float64(m) would, from the same two draws,
+// without the interface dispatch: the scene generator draws one per
+// pixel.
+func (m *MWC) Float64() float64 {
+	hi := uint64(m.Uint32())
+	return float64((hi<<32|uint64(m.Uint32()))>>11) / (1 << 53)
+}
+
 // Perm returns a random permutation of [0,n), used by the eager relocator
 // to shuffle function placement order so that pool fragmentation does not
 // correlate with link order.

@@ -184,6 +184,22 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// TestMWCFloat64MatchesFloat64: the concrete draw consumes the stream
+// exactly as the interface helper does and returns the same bits.
+func TestMWCFloat64MatchesFloat64(t *testing.T) {
+	for seed := uint64(0); seed < 16; seed++ {
+		a, b := NewMWC(seed), NewMWC(seed)
+		for i := 0; i < 1000; i++ {
+			if x, y := a.Float64(), Float64(b); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("seed %d draw %d: (*MWC).Float64=%v, Float64=%v", seed, i, x, y)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("seed %d: streams diverged", seed)
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	src := NewMWC(77)
 	for _, n := range []int{0, 1, 2, 10, 100} {

@@ -110,10 +110,11 @@ type host struct {
 	rt      *core.Runtime
 	capture *telemetry.EventLog
 
-	// The current activation: its seed and input.
+	// The current activation: its seed and input. The scene is filled
+	// in place each activation.
 	seed  uint64
 	in    *spaceapp.ControlInput
-	scene *spaceapp.Scene
+	scene spaceapp.Scene
 }
 
 // Host builds worker w's host: program, platform, layout and, for a
@@ -224,8 +225,8 @@ func (h *host) apply(act uint64, img *loader.Image) error {
 		h.in = spaceapp.GenControlInput(h.wl.InputBase + act)
 		return spaceapp.ApplyControlInput(h.plat.Mem, img, h.in)
 	case SceneInput:
-		h.scene = spaceapp.GenScene(h.wl.InputBase+act, h.wl.LitFraction)
-		return spaceapp.ApplyScene(h.plat.Mem, img, h.scene)
+		spaceapp.FillScene(&h.scene, h.wl.InputBase+act, h.wl.LitFraction)
+		return spaceapp.ApplyScene(h.plat.Mem, img, &h.scene)
 	}
 	return nil
 }
@@ -263,7 +264,7 @@ func (h *host) check(res platform.RunResult) error {
 	case ControlInput:
 		want = spaceapp.ControlReference(h.in)
 	case SceneInput:
-		want = spaceapp.ProcessingReference(h.scene).RMSBits
+		want = spaceapp.ProcessingReference(&h.scene).RMSBits
 	default:
 		return nil
 	}

@@ -149,12 +149,11 @@ func TestHostReseedAroundBoot(t *testing.T) {
 }
 
 // TestActivateAllocs: the host adds no allocation to a reboot. A
-// forked fixed image allocates nothing in steady state; a DSR
+// forked fixed image allocates nothing in steady state, with no input
+// or with a scene (filled into the host's own buffer); a DSR
 // activation allocates exactly what the runtime's Reboot does.
 func TestActivateAllocs(t *testing.T) {
-	activate := func(layout Layout) float64 {
-		wl := controlWorkload(layout)
-		wl.Input = NoInput
+	activateWith := func(wl *Workload) float64 {
 		h, err := wl.Host(0)
 		if err != nil {
 			t.Fatal(err)
@@ -166,8 +165,24 @@ func TestActivateAllocs(t *testing.T) {
 			}
 		})
 	}
+	activate := func(layout Layout) float64 {
+		wl := controlWorkload(layout)
+		wl.Input = NoInput
+		return activateWith(wl)
+	}
 	if allocs := activate(FixedImage); allocs != 0 {
 		t.Errorf("fixed-image Activate allocates %.1f times per run", allocs)
+	}
+	scene := &Workload{
+		Build:       spaceapp.BuildProcessing,
+		Platform:    platform.ProximaLEON3(),
+		Layout:      FixedImage,
+		Input:       SceneInput,
+		InputBase:   9000,
+		LitFraction: spaceapp.LitFraction,
+	}
+	if allocs := activateWith(scene); allocs != 0 {
+		t.Errorf("fixed-image scene Activate allocates %.1f times per run", allocs)
 	}
 
 	p, err := spaceapp.BuildControl()
