@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate examples dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke bench-smoke loc fuzz clean
+.PHONY: all build test vet lint race race-campaign bench profile evaluate examples dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke bench-smoke loc fuzz clean
 
 all: build lint test race race-campaign dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke bench-smoke examples
 
@@ -180,17 +180,6 @@ evaluate: build
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Perf-regression harness (cmd/benchgate): bench-baseline records the
-# component microbenchmarks (cache / functional memory / TLB / fetch
-# loop) and the campaign benchmarks at pinned iteration counts into
-# BENCH_BASELINE.json; bench-check re-runs the suite and fails on >15%
-# regression of ns/op or throughput (runs/s, instrs/s).
-bench-baseline:
-	$(GO) run ./cmd/benchgate -record BENCH_BASELINE.json
-
-bench-check:
-	$(GO) run ./cmd/benchgate -check BENCH_BASELINE.json -tolerance 0.15
 
 # CPU/heap profiles of a reduced single-worker campaign; artifacts land
 # in profile-out/ (gitignored). Inspect with:

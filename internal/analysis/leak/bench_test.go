@@ -9,7 +9,7 @@ import (
 
 // BenchmarkLeakAnalyze measures a full leakage analysis of the control
 // application in the most expensive mode (DSR eager: multiset counting
-// plus the entropy table). Tracked by the benchmark gate.
+// plus the entropy table).
 func BenchmarkLeakAnalyze(b *testing.B) {
 	p, err := spaceapp.BuildControl()
 	if err != nil {

@@ -193,6 +193,15 @@ func (s *Spec) Segments() int {
 // major frame.
 func (s *Spec) Activations(t Task) int { return s.FrameMillis / t.PeriodMillis }
 
+// MaxActivations caps the task activations one major frame may hold.
+// Analyze and Draw size per-segment tables and enumerate every
+// activation, so an unbounded frame (a 2^40 ms frame over a 1 ms task)
+// would be an unbounded allocation. The shortest-period task activates
+// once per base segment, so the cap bounds Segments too. It sits far
+// above the case study (10 segments, 11 activations) and the fuzz
+// grammar (at most 4 segments and 12 activations).
+const MaxActivations = 1024
+
 // Validate checks the spec's structural invariants. It returns every
 // problem found (empty = valid).
 func (s *Spec) Validate() []string {
@@ -254,6 +263,19 @@ func (s *Spec) Validate() []string {
 		if t.StackBoundBytes < 0 || t.StackBudgetBytes < 0 {
 			add("task %q: negative stack bound or budget", t.Name)
 		}
+	}
+	acts := 0
+	for _, t := range s.Tasks {
+		if s.FrameMillis <= 0 || t.PeriodMillis <= 0 {
+			continue
+		}
+		// Compare before adding: a huge frame must not overflow acts.
+		n := s.FrameMillis / t.PeriodMillis
+		if n > MaxActivations-acts {
+			add("major frame holds more than %d task activations (the limit)", MaxActivations)
+			break
+		}
+		acts += n
 	}
 	return errs
 }

@@ -1,7 +1,9 @@
 package schedfeas
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dsr/internal/prng"
@@ -241,5 +243,42 @@ func TestPriorityOrder(t *testing.T) {
 	want := []string{"b-crit", "a-fast", "a-slow", "z-slow"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("priority order %v, want %v", names, want)
+	}
+}
+
+// TestSpecValidateActivationCap: a major frame holding more than
+// MaxActivations activations is refused by Validate, so Analyze reports
+// it invalid before sizing its per-segment tables; a frame at the cap is
+// accepted and certified.
+func TestSpecValidateActivationCap(t *testing.T) {
+	oneMs := Task{Name: "t", PeriodMillis: 1, BudgetMillis: 1}
+	over := []*Spec{
+		{FrameMillis: MaxActivations + 1, CyclesPerMilli: 1, Tasks: []Task{oneMs}},
+		// The cap counts every task's activations.
+		{FrameMillis: MaxActivations, CyclesPerMilli: 1, Tasks: []Task{oneMs,
+			{Name: "u", PeriodMillis: MaxActivations, BudgetMillis: 1}}},
+	}
+	for i, s := range over {
+		errs := s.Validate()
+		if len(errs) != 1 || !strings.Contains(errs[0], fmt.Sprint(MaxActivations)) {
+			t.Errorf("spec %d over the cap: Validate = %q, want one error naming %d", i, errs, MaxActivations)
+		}
+		rep := Analyze(s, Policy{}, Config{})
+		if rep.Cert != nil || len(rep.Diags) != 1 || !strings.Contains(rep.Diags[0].Msg, "invalid spec") {
+			t.Errorf("spec %d over the cap: Analyze did not refuse it as invalid: %+v", i, rep.Diags)
+		}
+	}
+	// A 2^40 ms frame over a 1 ms task: validated only, never analyzed.
+	huge := &Spec{FrameMillis: 1 << 40, CyclesPerMilli: 1, Tasks: []Task{oneMs}}
+	if len(huge.Validate()) == 0 {
+		t.Error("a 2^40 ms frame over a 1 ms task validated")
+	}
+
+	at := &Spec{FrameMillis: MaxActivations, CyclesPerMilli: 1, Tasks: []Task{oneMs}}
+	if errs := at.Validate(); len(errs) > 0 {
+		t.Fatalf("frame at the cap refused: %v", errs)
+	}
+	if rep := Analyze(at, Policy{}, Config{}); rep.Cert == nil {
+		t.Errorf("frame at the cap not certified: %+v", rep.Diags)
 	}
 }

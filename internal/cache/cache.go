@@ -228,6 +228,11 @@ type Cache struct {
 
 	hashSeed uint64
 	repl     prng.Source // used only for ReplacementRandom
+
+	// slow counts line accesses that got past the MRU memos to a set
+	// lookup: host work, not a cache event, so it is cumulative and
+	// outside Counters and Snapshot.
+	slow uint64
 }
 
 // Observer receives one event per line access serviced by the cache: the
@@ -314,6 +319,10 @@ func (c *Cache) Counters() Counters { return c.ctr }
 
 // ResetCounters zeroes the event counters without touching contents.
 func (c *Cache) ResetCounters() { c.ctr = Counters{} }
+
+// SlowAccesses returns the cumulative number of line accesses that got
+// past the MRU memos to a set lookup (host work; see telemetry.Work).
+func (c *Cache) SlowAccesses() uint64 { return c.slow }
 
 // ReseedPlacement reseeds the parametric placement hash and the random
 // replacement source. Hardware-randomised platforms reseed between runs.
@@ -493,6 +502,7 @@ func (c *Cache) readLine(la mem.Addr) mem.Cycles {
 			return c.hitLat
 		}
 	}
+	c.slow++
 	idx := c.setIndex(la)
 	set := c.set(idx)
 	if w := c.hitWay(idx, set, la); w >= 0 {
@@ -558,6 +568,7 @@ func (c *Cache) writeLine(la mem.Addr, size int) mem.Cycles {
 			}
 		}
 	}
+	c.slow++
 	idx := c.setIndex(la)
 	set := c.set(idx)
 	w := c.hitWay(idx, set, la)

@@ -10,7 +10,7 @@ import (
 // which sits on the simulator's per-instruction hot path (every fetch
 // goes through the IL1, every load/store through the DL1). The L1 hit
 // path must stay allocation-free: the 0 allocs/op column is asserted by
-// TestHitPathAllocFree below, and make bench-check gates ns/op.
+// TestHitPathAllocFree below.
 
 func proximaIL1() Config {
 	return Config{

@@ -9,9 +9,9 @@ import (
 // BenchmarkReboot measures one DSR partition reboot — layout draw,
 // in-place image rebuild, journalled memory clear, metadata writes and
 // eager relocation cost accounting — without the run that follows. This
-// is the per-run overhead the DSR series pays on top of execution; the
-// benchgate baseline pins it so the reboot path cannot quietly regress
-// back to per-run image construction or page-table churn.
+// is the per-run overhead the DSR series pays on top of execution, and
+// its allocs/op column shows a regression back to per-run image
+// construction or page-table churn.
 func BenchmarkReboot(b *testing.B) {
 	p := benchProgram(b)
 	plat := platform.New(platform.ProximaLEON3())

@@ -141,6 +141,11 @@ type Runtime struct {
 	// campaign traces attribute each run's time to a phase; a nil tracer
 	// no-ops.
 	tracer *telemetry.WorkerTracer
+
+	// reboots and relocBytes count host work: Reboot calls and the code
+	// bytes relocationCost copied. Cumulative; see HostWork.
+	reboots    uint64
+	relocBytes uint64
 }
 
 // SetEventLog installs (or clears, with nil) the structured event log
@@ -194,6 +199,10 @@ func (r *Runtime) Image() *loader.Image { return r.img }
 // Placement returns the current run's symbol placement.
 func (r *Runtime) Placement() loader.Placement { return r.placement }
 
+// HostWork returns the cumulative reboots and relocated code bytes, at
+// boot (eager) or on first call (lazy); see telemetry.Work.
+func (r *Runtime) HostWork() (reboots, relocBytes uint64) { return r.reboots, r.relocBytes }
+
 // Reboot models the partition reboot of §IV: memory is cleared, a fresh
 // random layout is drawn with the given seed, the image is rebuilt and
 // loaded, the metadata tables are written, and (in eager mode) the
@@ -207,6 +216,7 @@ func (r *Runtime) Reboot(seed uint64) (BootStats, error) {
 	// Reboot(seed) must behave identically no matter which runs it
 	// executed previously.
 	boot := r.tracer.Begin(telemetry.SpanBoot, -1)
+	r.reboots++
 	r.plat.FlushCaches()
 	r.src.Seed(seed)
 	r.codePool.Reset(prng.Uint64(r.src))
@@ -356,6 +366,7 @@ func (r *Runtime) Reboot(seed uint64) (BootStats, error) {
 // so relocated code must reach memory before it can be fetched) and
 // invalidate any stale IL1/L2 lines at the old location (§III.B.1).
 func (r *Runtime) relocationCost(ri relocInfo, newBase mem.Addr) mem.Cycles {
+	r.relocBytes += uint64(ri.size)
 	var cost mem.Cycles
 	for off := mem.Addr(0); off < ri.size; off += mem.WordSize {
 		cost += r.plat.DL1.Read(ri.oldBase+off, mem.WordSize)

@@ -150,6 +150,12 @@ type CPU struct {
 	fetchLine mem.Addr // IL1 line size (bytes); 0 if fetchZero is false
 	fetchZero bool
 
+	// steps and refills count host work, not simulated events: the
+	// instructions Step executed and the fetchSlow calls. They are
+	// cumulative (no reset, no snapshot); see HostWork.
+	steps   uint64
+	refills uint64
+
 	// callHook, when set, fires on every Call/CallR with the resolved
 	// target address before control transfers. The DSR runtime uses it
 	// to model lazy relocation (§III.B.1): the hook may charge cycles
@@ -322,6 +328,13 @@ func (c *CPU) Counters() Counters { return c.ctr }
 // half of the measurement protocol.
 func (c *CPU) ResetCounters() { c.ctr = Counters{} }
 
+// HostWork returns the cumulative host-work counts of the core: the
+// instructions the interpreter (Step) executed and the exact fetches
+// (fetchSlow) that armed a fetch window. Neither is a PMC; the engine
+// executes the other Instrs without touching either count on its
+// fused runs.
+func (c *CPU) HostWork() (steps, refills uint64) { return c.steps, c.refills }
+
 // SetAttribution installs (or clears, with nil) the cycle-attribution
 // profiler. Use platform.EnableAttribution rather than calling this
 // directly: attribution is only conservative when the memory fronts are
@@ -419,6 +432,7 @@ func (c *CPU) src2(in *isa.Instr) uint32 {
 // contiguous repeats of the line/page the slow fetch just touched,
 // which cannot change any future victim choice.
 func (c *CPU) fetchSlow() (*isa.Instr, error) {
+	c.refills++
 	c.translate(c.itlb, c.pc, telemetry.CompITLBWalk)
 	if c.icacheC != nil {
 		c.cycles += c.icacheC.ReadLine(c.pc)
@@ -640,6 +654,7 @@ func (c *CPU) Step() error {
 		}
 	}
 	c.ctr.Instrs++
+	c.steps++
 	c.charge(telemetry.CompBaseIssue, 1) // base cycle
 	// FPUOps is counted inside the FPU opcode cases below (the set
 	// matched by isa.Op.IsFPU) rather than testing every instruction

@@ -9,8 +9,7 @@ import (
 // Functional-memory microbenchmarks: every simulated load and store
 // resolves its value through Memory, so the page lookup is on the
 // per-instruction hot path. The load path must be allocation-free
-// (asserted by TestMemoryLoadAllocFree) and make bench-check gates
-// ns/op.
+// (asserted by TestMemoryLoadAllocFree).
 
 var memSink uint32
 

@@ -222,6 +222,9 @@ type e9Shard struct {
 // (schedule draw, layout seeds and inputs all schedule-derived), so
 // the cell is byte-identical at every worker count.
 func RunE9Cell(cfg Config, cell E9Cell) (*E9Series, error) {
+	if err := cfg.checkRuns(); err != nil {
+		return nil, err
+	}
 	spec := CaseStudySchedSpec()
 	policy := CaseStudySchedPolicy(cell.SchedRand)
 	static := schedfeas.Analyze(spec, policy, schedfeas.Config{})

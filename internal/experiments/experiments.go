@@ -137,6 +137,15 @@ func (s *Series) MinMeanMax() (min, mean, max float64) {
 	return stats.Min(s.Cycles), stats.Mean(s.Cycles), stats.Max(s.Cycles)
 }
 
+// checkRuns refuses a negative campaign size before a series sizes its
+// per-run slices by it.
+func (cfg *Config) checkRuns() error {
+	if cfg.Runs < 0 {
+		return fmt.Errorf("experiments: negative run count %d", cfg.Runs)
+	}
+	return nil
+}
+
 // engine returns the campaign engine configuration of a series.
 func (cfg *Config) engine() campaign.Config {
 	return campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Tracer: cfg.Tracer, Interrupt: cfg.Interrupt}
@@ -192,6 +201,9 @@ type shard struct {
 // them live, at the pre-run campaign-clock position), then the run
 // record itself.
 func (cfg Config) runSeries(name string, wl workload.Workload) (*Series, error) {
+	if err := cfg.checkRuns(); err != nil {
+		return nil, err
+	}
 	wl.InputBase = cfg.InputSeedBase
 	wl.Attribution = cfg.Attribution
 	wl.Capture = cfg.Telemetry != nil // only the merge below replays events

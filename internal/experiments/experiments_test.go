@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsr/internal/analysis/wcet"
 	"dsr/internal/bus"
 	"dsr/internal/mbpta"
 	"dsr/internal/spaceapp"
@@ -284,5 +285,23 @@ func TestPositionedBeatsBaseline(t *testing.T) {
 	// Same binary, same instruction stream: only the layout differs.
 	if pos.Results[0].PMCs.Instr != base.Results[0].PMCs.Instr {
 		t.Error("positioning changed the instruction count")
+	}
+}
+
+// TestNegativeRunsRefused: `dsrsim -runs -1` hands every series a
+// negative campaign size; each series that sizes per-run slices by it
+// returns an error instead of panicking.
+func TestNegativeRunsRefused(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Runs = -1
+	series := map[string]func() error{
+		"RunBaseline": func() error { _, err := RunBaseline(cfg); return err },
+		"RunE9Cell":   func() error { _, err := RunE9Cell(cfg, E9Cell{}); return err },
+		"RunLeak":     func() error { _, err := RunLeak(cfg, wcet.ModeDet); return err },
+	}
+	for name, run := range series {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "negative run count") {
+			t.Errorf("%s: err = %v, want a negative run count error", name, err)
+		}
 	}
 }

@@ -125,6 +125,9 @@ type leakShard struct {
 // every run's observation is a pure function of (layout seed, input).
 // Config.Interrupt and Config.Tracer apply as in every series.
 func RunLeak(cfg Config, mode wcet.Mode) (*LeakSeries, error) {
+	if err := cfg.checkRuns(); err != nil {
+		return nil, err
+	}
 	p, err := spaceapp.BuildControl()
 	if err != nil {
 		return nil, err

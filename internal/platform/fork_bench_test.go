@@ -9,10 +9,9 @@ import (
 // BenchmarkPlatformFork measures the per-run campaign protocol on a
 // fixed layout: fork the booted snapshot (dirty-page restore, cache/TLB
 // state copy, image rebind) and execute. This is the unit of work the
-// baseline/HWRand/positioned series repeat thousands of times; the
-// benchgate baseline pins both its latency and its steady-state
-// allocation (which must stay near zero — the fork is the mechanism
-// that removed the campaign's shared GC pressure).
+// baseline/HWRand/positioned series repeat thousands of times. Its
+// steady-state allocation must stay near zero: the fork is the
+// mechanism that removed the campaign's shared GC pressure.
 func BenchmarkPlatformFork(b *testing.B) {
 	p := walkerProgram(b, 512)
 	img, err := loader.Load(p, loader.DefaultSequentialConfig())

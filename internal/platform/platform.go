@@ -282,6 +282,20 @@ func (p *Platform) Counters() PMCs {
 	}
 }
 
+// Work returns the platform's cumulative host-work counts (interpreter
+// steps, fetch-window refills, TLB scans, cache slow-path accesses);
+// the fields it does not own are zero. See telemetry.Work.
+func (p *Platform) Work() telemetry.Work {
+	w := telemetry.Work{
+		TLBScans:  p.ITLB.Scans() + p.DTLB.Scans(),
+		CacheSlow: p.IL1.SlowAccesses() + p.DL1.SlowAccesses() + p.L2.SlowAccesses(),
+	}
+	if p.CPU != nil {
+		w.Steps, w.FetchRefills = p.CPU.HostWork()
+	}
+	return w
+}
+
 // RunResult is the outcome of one measured run.
 type RunResult struct {
 	Cycles mem.Cycles

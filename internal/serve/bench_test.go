@@ -8,7 +8,7 @@ import (
 // spec validation (assemble + DSR transform verification), job-dir
 // persistence and enqueue — with the executor parked on a long job so
 // no campaign work pollutes the numbers. This is the daemon's
-// user-facing latency floor; benchgate tracks it.
+// user-facing latency floor.
 func BenchmarkServeSubmitLatency(b *testing.B) {
 	s, ts, cl := startServer(b, b.TempDir(), Config{
 		Executors: 1, QueueCap: b.N + 8, CheckpointEvery: 1 << 30,

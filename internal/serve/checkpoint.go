@@ -90,7 +90,8 @@ func WriteCheckpoint(dir string, c Checkpoint) error {
 			return fmt.Errorf("serve: marshal checkpoint: %w", err)
 		}
 	}
-	return writeCheckpoint(dir, c.Job, c.SpecHash, c.Cursor, points)
+	_, err := writeCheckpoint(dir, c.Job, c.SpecHash, c.Cursor, points)
+	return err
 }
 
 // writeCheckpoint is WriteCheckpoint over a points array that is
@@ -98,15 +99,15 @@ func WriteCheckpoint(dir string, c Checkpoint) error {
 // exactly the bytes json.Marshal produces for the Checkpoint with its
 // Sum filled in, plus a newline; Sum is the sha256 of the same encoding
 // with Sum empty. The points bytes are hashed and written in place,
-// never copied or re-encoded.
-func writeCheckpoint(dir, job, specHash string, cursor int, points ...[]byte) error {
+// never copied or re-encoded. It returns the file's size.
+func writeCheckpoint(dir, job, specHash string, cursor int, points ...[]byte) (int, error) {
 	jobJSON, err := json.Marshal(job)
 	if err != nil {
-		return fmt.Errorf("serve: marshal checkpoint: %w", err)
+		return 0, fmt.Errorf("serve: marshal checkpoint: %w", err)
 	}
 	hashJSON, err := json.Marshal(specHash)
 	if err != nil {
-		return fmt.Errorf("serve: marshal checkpoint: %w", err)
+		return 0, fmt.Errorf("serve: marshal checkpoint: %w", err)
 	}
 	head := make([]byte, 0, 64+len(jobJSON)+len(hashJSON))
 	head = append(head, `{"job":`...)
@@ -130,18 +131,22 @@ func writeCheckpoint(dir, job, specHash string, cursor int, points ...[]byte) er
 
 	tmp := filepath.Join(dir, checkpointFile+".tmp")
 	if err := writeFile(tmp, append(append([][]byte{head}, points...), tail)...); err != nil {
-		return fmt.Errorf("serve: write checkpoint: %w", err)
+		return 0, fmt.Errorf("serve: write checkpoint: %w", err)
 	}
 	cur := filepath.Join(dir, checkpointFile)
 	if _, err := os.Stat(cur); err == nil {
 		if err := os.Rename(cur, filepath.Join(dir, checkpointPrev)); err != nil {
-			return fmt.Errorf("serve: rotate checkpoint: %w", err)
+			return 0, fmt.Errorf("serve: rotate checkpoint: %w", err)
 		}
 	}
 	if err := os.Rename(tmp, cur); err != nil {
-		return fmt.Errorf("serve: commit checkpoint: %w", err)
+		return 0, fmt.Errorf("serve: commit checkpoint: %w", err)
 	}
-	return nil
+	n := len(head) + len(tail)
+	for _, p := range points {
+		n += len(p)
+	}
+	return n, nil
 }
 
 // writeFile is os.WriteFile over the concatenation of parts, written

@@ -263,7 +263,11 @@ func TestCheckpointBytesMatchMarshal(t *testing.T) {
 			writers := map[string]func(dir string) error{
 				"WriteCheckpoint": func(dir string) error { return WriteCheckpoint(dir, c) },
 				"encodedPoints": func(dir string) error {
-					return writeCheckpoint(dir, c.Job, c.SpecHash, enc.n, enc.checkpointValue()...)
+					n, err := writeCheckpoint(dir, c.Job, c.SpecHash, enc.n, enc.checkpointValue()...)
+					if err == nil && n != len(want) {
+						err = fmt.Errorf("reported %d bytes, want %d", n, len(want))
+					}
+					return err
 				},
 			}
 			for name, write := range writers {

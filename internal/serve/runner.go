@@ -104,6 +104,9 @@ const maxReservedPoints = 4096
 // Hooks.OnPoint. On an analysis-stage error (e.g. the i.i.d. gate
 // rejecting) Run returns the partial Outcome alongside the error.
 func Run(spec Spec, resume []Point, h Hooks) (*Outcome, error) {
+	if spec.Runs < 0 {
+		return nil, fmt.Errorf("serve: negative run count %d", spec.Runs)
+	}
 	for k, pt := range resume {
 		if pt.Index != k {
 			return nil, fmt.Errorf("serve: resume prefix not contiguous: point %d has index %d", k, pt.Index)

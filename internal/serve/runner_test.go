@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dsr/internal/campaign"
@@ -34,3 +35,13 @@ func TestRunHugeRunsAllocation(t *testing.T) {
 }
 
 func mb(n uint64) string { return fmt.Sprintf("%.1f MB", float64(n)/(1<<20)) }
+
+// TestRunNegativeRuns: `dsrrun -dsr -runs -1` reaches Run without
+// Spec.Validate; Run refuses a negative run count before sizing
+// anything by it, and says so.
+func TestRunNegativeRuns(t *testing.T) {
+	_, err := Run(testSpec(t, "neg", -1, 1, 1), nil, Hooks{})
+	if err == nil || !strings.Contains(err.Error(), "negative run count") {
+		t.Fatalf("Run(runs=-1) = %v, want a negative run count error", err)
+	}
+}

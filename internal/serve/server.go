@@ -48,6 +48,10 @@ type JobStatus struct {
 	Priority int      `json:"priority,omitempty"`
 	SpecHash string   `json:"spec_hash"`
 	Error    string   `json:"error,omitempty"`
+	// Work is the host work of the runs this attempt has executed so
+	// far (a resumed job does not re-run its checkpointed prefix); for
+	// a finished job it is equal at every worker count.
+	Work telemetry.Work `json:"work"`
 }
 
 // Config configures a Server. The zero value of every field selects a
@@ -95,7 +99,7 @@ func (j *job) status() JobStatus {
 	return JobStatus{
 		ID: j.spec.ID, Name: j.name, State: j.state,
 		Runs: j.spec.Runs, Done: j.done, Priority: j.spec.Priority,
-		SpecHash: j.hash, Error: j.errMsg,
+		SpecHash: j.hash, Error: j.errMsg, Work: j.tracer.Work(),
 	}
 }
 
@@ -508,9 +512,14 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// checkpoint snapshots the merged prefix.
+// checkpoint snapshots the merged prefix and counts the bytes written.
 func (s *Server) checkpoint(j *job, pts *encodedPoints) error {
-	return writeCheckpoint(s.jobDir(j.spec.ID), j.spec.ID, j.hash, pts.n, pts.checkpointValue()...)
+	n, err := writeCheckpoint(s.jobDir(j.spec.ID), j.spec.ID, j.hash, pts.n, pts.checkpointValue()...)
+	if err != nil {
+		return err
+	}
+	s.registry.Counter("dsrserve_checkpoint_bytes_total", telemetry.Labels{"job": j.spec.ID}).Add(uint64(n))
+	return nil
 }
 
 // finishJob persists a completed campaign's artifacts — points.json

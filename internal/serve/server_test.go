@@ -152,3 +152,40 @@ func TestServeSubmitBodyLimit(t *testing.T) {
 		t.Errorf("413 body %q does not name the %s limit", msg, want)
 	}
 }
+
+// TestSpecWorkersLimit: Validate and POST /jobs refuse a worker count
+// above MaxWorkers with a 400 naming the limit, and accept the limit
+// itself and the 8 the determinism suites use. The accepted job stays
+// queued behind a running blocker until the server stops, so the test
+// never starts MaxWorkers workers.
+func TestSpecWorkersLimit(t *testing.T) {
+	src := testSource(t)
+	for _, w := range []int{8, MaxWorkers} {
+		sp := Spec{Source: src, Runs: 600, Seed: 1, Workers: w}
+		if err := sp.Validate(); err != nil {
+			t.Errorf("Validate refused %d workers: %v", w, err)
+		}
+	}
+	over := Spec{Source: src, Runs: 600, Seed: 1, Workers: MaxWorkers + 1}
+	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxWorkers)) {
+		t.Errorf("Validate(%d workers) = %v, want an error naming the limit %d", MaxWorkers+1, err, MaxWorkers)
+	}
+
+	s, ts, cl := startServer(t, t.TempDir(), Config{Executors: 1, CheckpointEvery: 1 << 30})
+	defer ts.Close()
+	defer s.Stop()
+	if _, err := cl.Submit(testSpec(t, "blocker", 1<<30, 1, 1)); err != nil {
+		t.Fatalf("submit blocker: %v", err)
+	}
+	waitProgress(t, cl, "blocker", 1)
+
+	_, err := cl.Submit(testSpec(t, "over", 600, MaxWorkers+1, 1))
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Body, fmt.Sprint(MaxWorkers)) {
+		t.Fatalf("submit with %d workers returned %v, want 400 naming the limit %d", MaxWorkers+1, err, MaxWorkers)
+	}
+	st, err := cl.Submit(testSpec(t, "at", 600, MaxWorkers, 1))
+	if err != nil || st.State != StateQueued {
+		t.Fatalf("submit with %d workers: %+v, %v; want queued", MaxWorkers, st, err)
+	}
+}

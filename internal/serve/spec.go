@@ -47,7 +47,8 @@ type Spec struct {
 	// Seed is the base layout seed of the splittable per-run schedule.
 	Seed uint64 `json:"seed"`
 	// Workers is the campaign worker-pool size (0 = one per CPU,
-	// 1 = sequential); output is identical for every value.
+	// 1 = sequential, at most MaxWorkers); output is identical for
+	// every value.
 	Workers int `json:"workers,omitempty"`
 	// Priority orders the job queue: higher runs sooner; ties run in
 	// submission order.
@@ -59,6 +60,13 @@ type Spec struct {
 	// report then includes the per-component split.
 	Attribution bool `json:"attribution,omitempty"`
 }
+
+// MaxWorkers bounds Spec.Workers. Each worker builds its own platform
+// and DSR runtime before its first run, and the engine clamps the pool
+// only to the run count, so an unbounded value is an unbounded
+// allocation. 64 is far above the parallelism one job can use on any
+// host the daemon targets.
+const MaxWorkers = 64
 
 // ValidID reports whether id is acceptable as a job id: a single safe
 // path segment of at most 64 bytes drawn from [A-Za-z0-9._-], and not
@@ -91,6 +99,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Runs <= 0 {
 		return fmt.Errorf("serve: runs must be positive, got %d", s.Runs)
+	}
+	if s.Workers > MaxWorkers {
+		return fmt.Errorf("serve: workers %d exceeds the limit of %d", s.Workers, MaxWorkers)
 	}
 	if s.Runs < 4*s.MBPTAOptions().BlockSize {
 		return fmt.Errorf("serve: %d runs too few for MBPTA block size %d", s.Runs, s.MBPTAOptions().BlockSize)

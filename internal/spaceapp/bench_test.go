@@ -73,3 +73,15 @@ func BenchmarkControlReference(b *testing.B) {
 		crcSink = ControlReference(in)
 	}
 }
+
+// BenchmarkBuildControl measures building the control application's
+// program: the built-in apps have no assembly source, so this is their
+// assemble stage, and every campaign worker pays it once.
+func BenchmarkBuildControl(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildControl(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

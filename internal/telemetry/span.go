@@ -250,6 +250,7 @@ type WorkerTracer struct {
 	mu    sync.Mutex
 	spans []Span
 	stack []SpanMark
+	work  Work // the host-work ledger (work.go)
 
 	// state packs the innermost open span for lock-free live reads:
 	// (run+2)<<8 | (kind+1); 0 means idle.

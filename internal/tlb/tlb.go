@@ -123,6 +123,9 @@ type TLB struct {
 	// from it so that walk traffic perturbs the data cache hierarchy the
 	// way real walks do.
 	walkBase mem.Addr
+	// scans counts translateScan entries: host work, not a TLB event,
+	// so it is cumulative and outside Counters and Snapshot.
+	scans uint64
 }
 
 // New builds a TLB whose page-table walks are serviced by walkMem.
@@ -163,6 +166,11 @@ func (t *TLB) Counters() Counters {
 	c.Accesses = c.Hits + c.Misses
 	return c
 }
+
+// Scans returns the cumulative number of translations that missed the
+// MRU translation and entered the hint table or scan (host work; see
+// telemetry.Work).
+func (t *TLB) Scans() uint64 { return t.scans }
 
 // ResetCounters zeroes the event counters without touching contents.
 // Deferred fast-path bookkeeping is settled first so the LRU clock
@@ -206,6 +214,7 @@ func (t *TLB) settle() {
 // against the entry array before use — a stale hint (its entry was
 // evicted) fails the compare and degrades to the scan.
 func (t *TLB) translateScan(page mem.Addr) mem.Cycles {
+	t.scans++
 	t.settle()
 	if h := &t.hints[page&hintMask]; h.page == page {
 		if e := &t.entries[h.idx]; e.valid && e.page == page {

@@ -92,7 +92,8 @@ type Workload struct {
 	// Capture records DSR runtime events per run for the campaign merge
 	// to replay (Events); without it the runtime logs nothing.
 	Capture bool
-	// Tracer receives each worker's boot/reloc/execute spans.
+	// Tracer receives each worker's boot/reloc/execute spans and each
+	// run's host work (telemetry.Work).
 	Tracer *telemetry.Tracer
 }
 
@@ -115,6 +116,9 @@ type host struct {
 	seed  uint64
 	in    *spaceapp.ControlInput
 	scene spaceapp.Scene
+	// mark is the cumulative host work when the activation began (kept
+	// only with a tracer).
+	mark telemetry.Work
 }
 
 // Host builds worker w's host: program, platform, layout and, for a
@@ -176,6 +180,9 @@ func (h *host) Events() []telemetry.Event { return h.capture.Take() }
 // i under the layout policy, then the activation's input.
 func (h *host) Activate(act uint64) error {
 	i := int(act)
+	if h.wt != nil {
+		h.mark = h.work()
+	}
 	h.seed = 0
 	if h.wl.Seed != nil {
 		h.seed = h.wl.Seed(i)
@@ -240,6 +247,7 @@ func (h *host) Run() (platform.RunResult, error) {
 	if err != nil {
 		return res, err
 	}
+	h.report(res)
 	return res, h.check(res)
 }
 
@@ -250,10 +258,34 @@ func (h *host) Execute(budget mem.Cycles) (platform.RunResult, bool, error) {
 	exec := h.wt.Begin(telemetry.SpanExecute, -1)
 	res, done, err := h.plat.RunBudget(budget)
 	h.wt.End(exec)
-	if err != nil || !done {
+	if err != nil {
 		return res, done, err
 	}
-	return res, done, h.check(res)
+	h.report(res)
+	if done {
+		err = h.check(res)
+	}
+	return res, done, err
+}
+
+// work is the host's cumulative host work.
+func (h *host) work() telemetry.Work {
+	w := h.plat.Work()
+	if h.rt != nil {
+		w.Reboots, w.RelocBytes = h.rt.HostWork()
+	}
+	return w
+}
+
+// report books the activation's host work — everything since Activate,
+// plus the run and its retired instructions — on the worker's tracer.
+func (h *host) report(res platform.RunResult) {
+	if h.wt == nil {
+		return
+	}
+	wk := h.work().Since(h.mark)
+	wk.Runs, wk.Instrs = 1, res.PMCs.Instr
+	h.wt.AddWork(wk)
 }
 
 // check compares a completed run's exit value with the golden model:
